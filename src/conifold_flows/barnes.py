@@ -3,23 +3,22 @@
 The rank-r zeta function  zeta_r(s, z | omega) = sum_{n in Z_{>=0}^r} (z + n.omega)^{-s}
 (convergent for Re s > r) is continued through the split integral
 
-    Gamma(s) zeta_r(s) = sum_{n=0}^{M} a_n / (s + n - r)
-                         + int_0^1 x^{s-1} R_M(x) dx
-                         + int_1^T x^{s-1} e^{-z x} / prod_i (1 - e^{-omega_i x}) dx
+    Gamma(s) zeta_r(s) = sum_{n=0}^{N} a_n x0^(s+n-r) / (s + n - r)
+                         + int_{x0}^T x^{s-1} e^{-z x} / prod_i (1 - e^{-omega_i x}) dx
 
-with a_n = (-1)^n B_{r,n}(z|omega) / n!  (generalized Bernoulli data) and
-R_M the integrand minus its first M+1 Laurent terms.  The s-derivative at
-s = 0 yields the log multiple gamma; multiple sines combine two gamma
-values; the kernels ``log_h`` and ``log_g`` add explicit generalized
-Bernoulli prefactors and satisfy exact first/second difference equations
-which are also used to extend evaluation outside the strip where the
-integral representation converges.
+with a_n = (-1)^n B_{r,n}(z|omega) / n!  (generalized Bernoulli data) the
+Laurent coefficients of the integrand, integrated termwise on (0, x0) with
+x0 = 1/2 and N = 64.  The s-derivative at s = 0 yields the log multiple
+gamma; multiple sines combine two gamma values; the kernels ``log_h`` and
+``log_g`` add explicit generalized Bernoulli prefactors and satisfy exact
+first/second difference equations which are also used to extend evaluation
+outside the strip where the integral representation converges.
 
 All heavy arithmetic runs in mpmath at a working precision derived from
 the requested quadrature tolerance, so that the severe cancellation
-between head terms and integrals stays far below the returned accuracy.
-Entry points serialize mpmath precision changes behind a lock; for
-parallel sweeps use separate processes.
+between the series terms and the integral stays far below the returned
+accuracy.  Entry points serialize mpmath precision changes behind a lock;
+for parallel sweeps use separate processes.
 """
 from __future__ import annotations
 
@@ -47,9 +46,9 @@ __all__ = [
     "fold_2pii",
 ]
 
-DEFAULT_HEAD_ORDER = 24
 DEFAULT_QUAD_TOL = 1e-12
 _EXTENSION_STEP_CAP = 400
+_LAURENT_ORDER = 64
 
 _PREC_LOCK = threading.RLock()
 
@@ -65,7 +64,6 @@ class BarnesEvaluation:
     rank: int
     z: complex
     omega: tuple[complex, ...]
-    head_order: int = DEFAULT_HEAD_ORDER
     quad_tol: float = DEFAULT_QUAD_TOL
 
     def __post_init__(self):
@@ -82,8 +80,6 @@ class BarnesEvaluation:
             raise DomainError(
                 "argument needs positive real part; outside this strip use "
                 "the difference-equation extension in log_h/log_g")
-        if self.head_order < self.rank + 2:
-            raise DomainError("head order too small for the rank")
         if not self.quad_tol > 0:
             raise DomainError("quadrature tolerance must be positive")
 
@@ -112,26 +108,29 @@ def _gb_mp(n: int, z, omegas):
 
 
 class _SplitIntegral:
-    """Shared data for continuing one (z, omega) pair across values of s."""
+    """Shared data for continuing one (z, omega) pair across values of s.
 
-    def __init__(self, z, omegas, head_order: int, quad_tol: float):
+    On (0, x0) the integrand is replaced by its Laurent series
+    sum_n a_n x^(n-r) and integrated term by term; on (x0, T) it is
+    integrated numerically.
+    """
+
+    def __init__(self, z, omegas, quad_tol: float):
         self.z = mp.mpc(z)
         self.omegas = tuple(mp.mpc(w) for w in omegas)
         self.r = len(self.omegas)
-        self.M = head_order
         self.quad_tol = quad_tol
         self.dps = _dps_for(quad_tol)
         wmax = max(abs(w) for w in self.omegas)
         if wmax > 10:
             raise DomainError(
                 "period modulus above 10 exceeds the Laurent-series radius "
-                "used on (0, 1); rescale with the homogeneity relation")
-        self.x_switch = mp.mpf("0.5")
-        self.n_ext = self.M + 40
-        self.a = _laurent_coeffs(self.z, self.omegas, self.n_ext, self.dps)
-        # the (0, x_switch) series must have converged well before n_ext
-        scale = max(abs(an) for an in self.a[: self.M + 1]) + mp.mpf(1)
-        tail_term = abs(self.a[self.n_ext]) * self.x_switch ** (self.n_ext - self.r)
+                "used on (0, 1/2); rescale with the homogeneity relation")
+        self.x0 = mp.mpf("0.5")
+        self.a = _laurent_coeffs(self.z, self.omegas, _LAURENT_ORDER, self.dps)
+        # the series on (0, x0) must have converged by its last term
+        scale = max(abs(an) for an in self.a) + mp.mpf(1)
+        tail_term = abs(self.a[-1]) * self.x0 ** (_LAURENT_ORDER - self.r)
         if tail_term > scale * mp.mpf(10) ** (-(self.dps + 5)):
             raise DomainError("Laurent series of the integrand converges too "
                               "slowly; reduce the period moduli")
@@ -142,76 +141,68 @@ class _SplitIntegral:
             val /= -mp.expm1(-w * x)
         return val
 
-    def _remainder(self, x):
-        if x == 0:
-            return mp.mpc(0)
-        if x < self.x_switch:
-            acc = mp.mpc(0)
-            xp = x ** (self.M + 1 - self.r)
-            for n in range(self.M + 1, self.n_ext + 1):
-                acc += self.a[n] * xp
-                xp *= x
-            return acc
-        acc = mp.mpc(0)
-        xp = x ** (-self.r)
-        for n in range(self.M + 1):
-            acc += self.a[n] * xp
-            xp *= x
-        return self._integrand(x) - acc
-
-    def _quad(self, fn, points):
-        val, err = mp.quad(fn, points, error=True)
-        if err > self.quad_tol:
-            val, err = mp.quad(fn, points, maxdegree=9, error=True)
-            if err > self.quad_tol:
-                raise ArithmeticError(
-                    f"quadrature did not reach tolerance {self.quad_tol} "
-                    f"(estimate {mp.nstr(err, 3)})")
-        return val
-
-    def _tail_points(self):
+    def _quad(self, fn):
         rez = mp.re(self.z)
         # e^{-Re(z) T} < 1e-18 cutoff
         T = max(mp.mpf(2), 18 * mp.log(10) / rez)
         mid = min(1 + 4 / rez, T / 2 + mp.mpf("0.5"))
-        return [mp.mpf(1), mid, T]
-
-    def head(self, s):
-        acc = mp.mpc(0)
-        for n in range(self.M + 1):
-            acc += self.a[n] / (s + n - self.r)
-        return acc
+        points = [self.x0, mp.mpf(1), mid, T]
+        val, err = mp.quad(fn, points, error=True)
+        if err > self.quad_tol:
+            val, err = mp.quad(fn, points, maxdegree=9, error=True)
+            if err > self.quad_tol:
+                raise DomainError(
+                    f"quadrature did not reach tolerance {self.quad_tol} "
+                    f"(estimate {mp.nstr(err, 3)})")
+        return val
 
     def zeta(self, s):
         s = mp.mpc(s)
-        rem = self._quad(lambda x: x ** (s - 1) * self._remainder(x),
-                         [0, self.x_switch, 1])
-        tail = self._quad(lambda x: x ** (s - 1) * self._integrand(x),
-                          self._tail_points())
-        return (self.head(s) + rem + tail) / mp.gamma(s)
+        # for Re s < 0, x0^s inflates the series and the integral alike
+        # before they cancel: carry the digits that costs
+        dps = self.dps + max(0, int(-mp.re(s) * mp.log10(1 / self.x0)))
+        with mp.workdps(dps):
+            a = _laurent_coeffs(self.z, self.omegas, _LAURENT_ORDER, dps)
+            x0s = self.x0 ** s
+            terms = [x0s * an * self.x0 ** (n - self.r) / (s + n - self.r)
+                     for n, an in enumerate(a)]
+            series = mp.fsum(terms)
+            integral = self._quad(lambda x: x ** (s - 1) * self._integrand(x))
+            gamma = mp.gamma(s)
+            value = (series + integral) / gamma
+            # 1/Gamma(s) magnifies what that cancellation leaves: the
+            # rounding, and the series truncation, estimated by its last term
+            err = (max(abs(series), abs(integral)) * mp.mpf(10) ** -dps
+                   + abs(terms[-1])) / abs(gamma)
+        if err > self.quad_tol * max(1, abs(value)):
+            raise DomainError(
+                f"zeta_{self.r} at s = {complex(s)}: 1/Gamma(s) magnifies "
+                f"the rounding and truncation error to about "
+                f"{mp.nstr(err, 3)}, above the tolerance {self.quad_tol}")
+        return value
 
     def zeta_nonpos_int(self, m: int):
         # zeta_r(-m) = (-1)^m m! a_{r+m}: the 1/Gamma zero kills everything
-        # except the head pole at n = r + m.
+        # except the series pole at n = r + m.
+        if self.r + m > _LAURENT_ORDER:
+            raise DomainError(f"zeta_{self.r} at s = -{m} lies past the stored "
+                              "Laurent coefficients; need "
+                              f"m <= {_LAURENT_ORDER - self.r}")
         return ((-1) ** m) * mp.factorial(m) * self.a[self.r + m]
 
     def log_gamma(self):
-        # d/ds (I(s)/Gamma(s)) at s = 0 with I(s) = a_r/s + J(s):
-        # only J(0) and the Euler-gamma term survive.
-        acc = mp.euler * self.a[self.r]
-        for n in range(self.M + 1):
+        # d/ds (I(s)/Gamma(s)) at s = 0 with I(s) = a_r x0^s/s + J(s):
+        # only J(0) and the a_r (Euler-gamma + log x0) term survive.
+        acc = self.a[self.r] * (mp.euler + mp.log(self.x0))
+        for n, an in enumerate(self.a):
             if n != self.r:
-                acc += self.a[n] / (n - self.r)
-        acc += self._quad(lambda x: self._remainder(x) / x,
-                          [0, self.x_switch, 1])
-        acc += self._quad(lambda x: self._integrand(x) / x,
-                          self._tail_points())
-        return acc
+                acc += an * self.x0 ** (n - self.r) / (n - self.r)
+        return acc + self._quad(lambda x: self._integrand(x) / x)
 
 
 @functools.lru_cache(maxsize=1024)
-def _log_gamma_cached(z, omegas, head_order: int, quad_tol: float):
-    return _SplitIntegral(z, omegas, head_order, quad_tol).log_gamma()
+def _log_gamma_cached(z, omegas, quad_tol: float):
+    return _SplitIntegral(z, omegas, quad_tol).log_gamma()
 
 
 def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
@@ -224,7 +215,7 @@ def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
         for k in range(1, ev.rank + 1):
             if abs(s_mp - k) < 1e-12:
                 raise PoleError(f"zeta_{ev.rank} has a pole at s = {k}")
-        core = _SplitIntegral(ev.z, ev.omega, ev.head_order, ev.quad_tol)
+        core = _SplitIntegral(ev.z, ev.omega, ev.quad_tol)
         if abs(mp.im(s_mp)) < 1e-12 and abs(s_mp - mp.nint(mp.re(s_mp))) < 1e-12 \
                 and mp.re(s_mp) <= 0.5:
             m = int(mp.nint(-mp.re(s_mp)))
@@ -235,7 +226,7 @@ def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
 def zeta_at_zero(ev: BarnesEvaluation) -> complex:
     """zeta_r(0, z | omega) = (-1)^r B_{r,r}(z|omega) / r!."""
     with _PREC_LOCK, mp.workdps(_dps_for(ev.quad_tol)):
-        core = _SplitIntegral(ev.z, ev.omega, ev.head_order, ev.quad_tol)
+        core = _SplitIntegral(ev.z, ev.omega, ev.quad_tol)
         return complex(core.zeta_nonpos_int(0))
 
 
@@ -243,7 +234,7 @@ def log_multiple_gamma(ev: BarnesEvaluation) -> complex:
     """log Gamma_r(z | omega) := d/ds zeta_r(s, z | omega) at s = 0."""
     with _PREC_LOCK, mp.workdps(_dps_for(ev.quad_tol)):
         return complex(_log_gamma_cached(mp.mpc(ev.z), tuple(mp.mpc(w) for w in ev.omega),
-                                         ev.head_order, ev.quad_tol))
+                                         ev.quad_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +248,18 @@ def _require_strip(z, omegas, what: str):
         raise DomainError(f"{what}: reflected argument real part must be positive")
 
 
-def _log_sine_mp(z, omegas, head_order: int, quad_tol: float):
+def _log_sine_mp(z, omegas, quad_tol: float):
     z = mp.mpc(z)
     omegas = tuple(mp.mpc(w) for w in omegas)
     r = len(omegas)
     _require_strip(z, omegas, "log_multiple_sine")
     total = sum(omegas)
-    lg = _log_gamma_cached(z, omegas, head_order, quad_tol)
-    lg_ref = _log_gamma_cached(total - z, omegas, head_order, quad_tol)
+    lg = _log_gamma_cached(z, omegas, quad_tol)
+    lg_ref = _log_gamma_cached(total - z, omegas, quad_tol)
     return -lg + ((-1) ** r) * lg_ref
 
 
 def log_multiple_sine(z, omega: Sequence[complex],
-                      head_order: int = DEFAULT_HEAD_ORDER,
                       quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """log sin_r(z | omega) = -log Gamma_r(z|omega) + (-1)^r log Gamma_r(|omega|-z|omega).
 
@@ -282,7 +272,7 @@ def log_multiple_sine(z, omega: Sequence[complex],
     if any(w.real <= 0 for w in omega):
         raise DomainError("all periods need positive real part")
     with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
-        return complex(_log_sine_mp(z, omega, head_order, quad_tol))
+        return complex(_log_sine_mp(z, omega, quad_tol))
 
 
 def _log1mexp(w):
@@ -316,15 +306,15 @@ def _pick_shift(t, w1, w2, lower_margin):
     raise DomainError("could not place the argument inside the direct strip")
 
 
-def _log_h_mp(t, w1, w2, head_order: int, quad_tol: float):
+def _log_h_mp(t, w1, w2, quad_tol: float):
     t = mp.mpc(t)
     w1, w2 = mp.mpc(w1), mp.mpc(w2)
     width = mp.re(w1) + mp.re(w2)
     if mp.mpf(0) < mp.re(t) < width:
         pref = -mp.pi * mp.mpc(0, 1) / 2 * _gb_mp(2, t, (w1, w2))
-        return pref + _log_sine_mp(t, (w1, w2), head_order, quad_tol)
+        return pref + _log_sine_mp(t, (w1, w2), quad_tol)
     k = _pick_shift(t, w1, w2, mp.mpf(0))
-    base = _log_h_mp(t + k * w1, w1, w2, head_order, quad_tol)
+    base = _log_h_mp(t + k * w1, w1, w2, quad_tol)
     # H(t + w1) = H(t) * (1 - x2(t))^{-1} with x2 = exp(2 pi i t / w2)
     corr = mp.mpc(0)
     if k > 0:
@@ -337,9 +327,7 @@ def _log_h_mp(t, w1, w2, head_order: int, quad_tol: float):
     return base + corr
 
 
-def log_h(t, omega1, omega2,
-          head_order: int = DEFAULT_HEAD_ORDER,
-          quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
+def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """Rank-2 kernel  H(t|w1,w2) = exp(-(pi i/2) B_{2,2}(t|w1,w2)) sin_2(t|w1,w2).
 
     Satisfies H(t + w1)/H(t) = (1 - exp(2 pi i t / w2))^{-1} exactly; that
@@ -350,22 +338,22 @@ def log_h(t, omega1, omega2,
     if w1.real <= 0 or w2.real <= 0:
         raise DomainError("periods need positive real part")
     with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
-        return complex(_log_h_mp(t, w1, w2, head_order, quad_tol))
+        return complex(_log_h_mp(t, w1, w2, quad_tol))
 
 
-def _log_g_direct_mp(t, w1, w2, head_order, quad_tol):
+def _log_g_direct_mp(t, w1, w2, quad_tol):
     z = mp.mpc(t) + w1
     om = (w1, w1, w2)
     pref = mp.pi * mp.mpc(0, 1) / 6 * _gb_mp(3, z, om)
-    return pref + _log_sine_mp(z, om, head_order, quad_tol)
+    return pref + _log_sine_mp(z, om, quad_tol)
 
 
-def _log_g_mp(t, w1, w2, head_order: int, quad_tol: float):
+def _log_g_mp(t, w1, w2, quad_tol: float):
     t = mp.mpc(t)
     w1, w2 = mp.mpc(w1), mp.mpc(w2)
     # direct strip for the shifted argument: -Re w1 < Re t < Re(w1 + w2) - Re w1
     if -mp.re(w1) < mp.re(t) < mp.re(w2):
-        return _log_g_direct_mp(t, w1, w2, head_order, quad_tol)
+        return _log_g_direct_mp(t, w1, w2, quad_tol)
     k = _pick_shift(t + w1, w1, w2, mp.mpf(0))
     if abs(k) > _EXTENSION_STEP_CAP:
         raise DomainError("extension step cap exceeded")
@@ -373,16 +361,14 @@ def _log_g_mp(t, w1, w2, head_order: int, quad_tol: float):
     # G(t + w1) = G(t) / H(t + w1 | w1, w2)
     if k > 0:
         for j in range(1, k + 1):
-            acc += _log_h_mp(t + j * w1, w1, w2, head_order, quad_tol)
+            acc += _log_h_mp(t + j * w1, w1, w2, quad_tol)
     else:
         for j in range(0, -k):
-            acc -= _log_h_mp(t - j * w1, w1, w2, head_order, quad_tol)
-    return _log_g_mp(t + k * w1, w1, w2, head_order, quad_tol) + acc
+            acc -= _log_h_mp(t - j * w1, w1, w2, quad_tol)
+    return _log_g_mp(t + k * w1, w1, w2, quad_tol) + acc
 
 
-def log_g(t, omega1, omega2,
-          head_order: int = DEFAULT_HEAD_ORDER,
-          quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
+def log_g(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """Rank-3 kernel built from the triple sine with periods (w1, w1, w2):
 
         G(t|w1,w2) = exp((pi i/6) B_{3,3}(t+w1 | w1,w1,w2)) sin_3(t+w1 | w1,w1,w2).
@@ -394,12 +380,10 @@ def log_g(t, omega1, omega2,
     if w1.real <= 0 or w2.real <= 0:
         raise DomainError("periods need positive real part")
     with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
-        return complex(_log_g_mp(t, w1, w2, head_order, quad_tol))
+        return complex(_log_g_mp(t, w1, w2, quad_tol))
 
 
-def log_g_highprec(t, omega1, omega2,
-                   head_order: int = DEFAULT_HEAD_ORDER,
-                   quad_tol: float = DEFAULT_QUAD_TOL):
+def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
     """log_g returned as an mpmath complex at full working precision.
 
     Needed where a large value is subtracted from a nearby one (asymptotic
@@ -410,11 +394,10 @@ def log_g_highprec(t, omega1, omega2,
     if w1.real <= 0 or w2.real <= 0:
         raise DomainError("periods need positive real part")
     with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
-        return _log_g_mp(t, w1, w2, head_order, quad_tol)
+        return _log_g_mp(t, w1, w2, quad_tol)
 
 
 def nonperturbative_potential(lam_check, t,
-                              head_order: int = DEFAULT_HEAD_ORDER,
                               quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """log G(t | lam_check, 1): the all-order potential in the reduced string
     coupling lam_check = lambda / (2 pi).  Requires Re(lam_check) > 0; the
@@ -424,7 +407,7 @@ def nonperturbative_potential(lam_check, t,
     lam_check = complex(lam_check)
     if lam_check.real <= 0:
         raise DomainError("reduced coupling needs positive real part")
-    return log_g(t, lam_check, 1.0, head_order, quad_tol)
+    return log_g(t, lam_check, 1.0, quad_tol)
 
 
 def fold_2pii(value):

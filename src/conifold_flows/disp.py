@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainError, GradientCatastropheError,
                      TruncationOrderError)
-from .reporting import fmt_float, worker_count, write_csv, write_json
+from .reporting import fmt_float, write_csv, write_json
 from .specfun import polylog
 
 __all__ = [
@@ -478,17 +477,20 @@ def delta_flow(zeta0: complex, fields: DispersionlessFields,
     return GridFunction(length, du), GridFunction(length, dv)
 
 
+def _centered_gradients(zeta0, u, v, which, h):
+    """Plain centered finite-difference gradients of the density in (u, v)."""
+    gu = (_density_pointwise(zeta0, u + h, v, which)
+          - _density_pointwise(zeta0, u - h, v, which)) / (2.0 * h)
+    gv = (_density_pointwise(zeta0, u, v + h, which)
+          - _density_pointwise(zeta0, u, v - h, which)) / (2.0 * h)
+    return gu, gv
+
+
 def _fd_gradients(zeta0, u, v, which, step):
     """Centered finite-difference gradients of the density in (u, v) with
     one Richardson step (h and h/2)."""
-    def grad(h):
-        gu = (_density_pointwise(zeta0, u + h, v, which)
-              - _density_pointwise(zeta0, u - h, v, which)) / (2.0 * h)
-        gv = (_density_pointwise(zeta0, u, v + h, which)
-              - _density_pointwise(zeta0, u, v - h, which)) / (2.0 * h)
-        return gu, gv
-    gu1, gv1 = grad(step)
-    gu2, gv2 = grad(step / 2.0)
+    gu1, gv1 = _centered_gradients(zeta0, u, v, which, step)
+    gu2, gv2 = _centered_gradients(zeta0, u, v, which, step / 2.0)
     return (4.0 * gu2 - gu1) / 3.0, (4.0 * gv2 - gv1) / 3.0
 
 
@@ -545,13 +547,7 @@ def check_hamiltonian_form(zeta0: complex, fields: DispersionlessFields,
     report["recombination_residual_v"] = rel(
         dv_rec.values, RECOMBINATION_SIGNS["v"] * dv_cl.values)
 
-    def grad_plain(h):
-        gu = (_density_pointwise(zeta0, u + h, v, which)
-              - _density_pointwise(zeta0, u - h, v, which)) / (2.0 * h)
-        gv = (_density_pointwise(zeta0, u, v + h, which)
-              - _density_pointwise(zeta0, u, v - h, which)) / (2.0 * h)
-        return gu, gv
-    gu_p, gv_p = grad_plain(fd_step / 2.0)
+    gu_p, gv_p = _centered_gradients(zeta0, u, v, which, fd_step / 2.0)
     report["poisson_residual_u"] = rel(spectral_derivative(gv_p, length),
                                        du_cl.values)
     report["poisson_residual_v"] = rel(spectral_derivative(gu_p, length),
@@ -643,12 +639,7 @@ def check_density_constraint(which: str = "h", samples: int = 20,
         return (abs(g_uu - factor * g_vv) / scale,
                 abs(g_uu + factor * g_vv) / scale)
 
-    workers = min(worker_count(), samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, pts))
-    else:
-        pairs = [one(p) for p in pts]
+    pairs = [one(p) for p in pts]
 
     plus = [p for p, _ in pairs]
     minus = [m for _, m in pairs]

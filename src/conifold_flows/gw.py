@@ -96,7 +96,6 @@ def constant_map_contribution(g: int, chi):
 
 
 def equivariant_potential(lam_check, t, x, kappa,
-                          head_order: int = barnes.DEFAULT_HEAD_ORDER,
                           quad_tol: float = barnes.DEFAULT_QUAD_TOL) -> complex:
     """Full potential with anti-diagonal torus weights: classical piece
     (2 pi)^3 i x^2 t / (2 kappa^2 lam_check^2) plus log_g(t | lam_check, 1).
@@ -108,24 +107,23 @@ def equivariant_potential(lam_check, t, x, kappa,
     classical = ((2 * math.pi) ** 3 * 1j * complex(x) ** 2 * complex(t)
                  / (2 * kappa ** 2 * lam_check ** 2))
     return classical + barnes.nonperturbative_potential(
-        lam_check, t, head_order=head_order, quad_tol=quad_tol)
+        lam_check, t, quad_tol=quad_tol)
 
 
-def _second_difference_mp(t, lam_check, head_order, quad_tol):
+def _second_difference_mp(t, lam_check, quad_tol):
     dps = barnes._dps_for(quad_tol)
     with barnes._PREC_LOCK, mp.workdps(dps):
         up = barnes._log_g_mp(mp.mpc(t) + mp.mpc(lam_check), lam_check, 1,
-                              head_order, quad_tol)
-        mid = barnes._log_g_mp(mp.mpc(t), lam_check, 1, head_order, quad_tol)
+                              quad_tol)
+        mid = barnes._log_g_mp(mp.mpc(t), lam_check, 1, quad_tol)
         dn = barnes._log_g_mp(mp.mpc(t) - mp.mpc(lam_check), lam_check, 1,
-                              head_order, quad_tol)
+                              quad_tol)
         q = fugacity(mp.mpc(t))
         rhs = mp.log(1 - q)
         return up - 2 * mid + dn, rhs, q, dps
 
 
 def check_difference_equation(lam_check, t,
-                              head_order: int = barnes.DEFAULT_HEAD_ORDER,
                               quad_tol: float = barnes.DEFAULT_QUAD_TOL) -> complex:
     """Folded residual of the central difference equation
 
@@ -137,13 +135,12 @@ def check_difference_equation(lam_check, t,
     lam_check = complex(lam_check)
     if lam_check.real <= 0:
         raise DomainError("reduced coupling needs positive real part")
-    lhs, rhs, _, _ = _second_difference_mp(t, lam_check, head_order, quad_tol)
+    lhs, rhs, _, _ = _second_difference_mp(t, lam_check, quad_tol)
     folded, _ = barnes.fold_2pii(lhs - rhs)
     return complex(folded)
 
 
 def difference_equation_report(lam_check, t,
-                               head_order: int = barnes.DEFAULT_HEAD_ORDER,
                                quad_tol: float = barnes.DEFAULT_QUAD_TOL) -> dict:
     """Same check with all intermediate values exposed.
 
@@ -154,7 +151,7 @@ def difference_equation_report(lam_check, t,
     lam_check = complex(lam_check)
     if lam_check.real <= 0:
         raise DomainError("reduced coupling needs positive real part")
-    lhs, rhs, q, dps = _second_difference_mp(t, lam_check, head_order, quad_tol)
+    lhs, rhs, q, dps = _second_difference_mp(t, lam_check, quad_tol)
     with mp.workdps(dps):
         via_derivative = -polylog(1, q)
         folded, winding = barnes.fold_2pii(lhs - rhs)
@@ -194,7 +191,6 @@ def truncated_difference_residual(lam_check, t, genus_cap: int,
 
 def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
                               genus_cap: int,
-                              head_order: int = barnes.DEFAULT_HEAD_ORDER,
                               quad_tol: float = 1e-14) -> float:
     """Fitted log-log slope of |log_g - genus expansion through genus_cap|
     along the ray lam_check = eps e^(i theta).
@@ -221,7 +217,7 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
         for eps in eps_list:
             lam_check = mp.mpf(repr(float(eps))) * phase
             lam = 2 * mp.pi * lam_check
-            total = barnes._log_g_mp(t_mp, lam_check, 1, head_order, quad_tol)
+            total = barnes._log_g_mp(t_mp, lam_check, 1, quad_tol)
             for g, fg in enumerate(genus_values):
                 total -= lam ** (2 * g - 2) * fg
             if total == 0:

@@ -37,6 +37,7 @@ __all__ = [
     "plane_wave_state",
     "plane_wave_frequency",
     "export_trajectory",
+    "gauge_transform",
 ]
 
 _SINGULAR_TOL = 1e-13
@@ -236,6 +237,3 @@ def gauge_transform(state: LatticeState, c: complex) -> LatticeState:
     if c == 0:
         raise DomainError("gauge constant must be nonzero")
     return LatticeState(state.a * c, state.b / c, state.time)
-
-
-__all__.append("gauge_transform")

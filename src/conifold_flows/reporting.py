@@ -9,7 +9,6 @@ keys and a fixed separator/indent convention.
 from __future__ import annotations
 
 import json
-import os
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -24,7 +23,6 @@ __all__ = [
     "dump_json",
     "write_json",
     "write_csv",
-    "worker_count",
 ]
 
 
@@ -125,15 +123,3 @@ def write_csv(path: str, header: list[str], rows) -> None:
                      (str(c) if isinstance(c, int) else fmt_float(c))
                      for c in row]
             fh.write(",".join(cells) + "\n")
-
-
-def worker_count() -> int:
-    """Parallelism cap: CONIFOLD_FLOWS_THREADS if set, else the CPU count."""
-    env = os.environ.get("CONIFOLD_FLOWS_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError("CONIFOLD_FLOWS_THREADS must be an integer")
-        return max(1, n)
-    return os.cpu_count() or 1

@@ -33,10 +33,11 @@ from conifold_flows.specfun import gen_bernoulli
 # rank-1 reductions against mpmath
 
 
-@pytest.mark.parametrize("s", [2.5, 1.3, 0.4, -0.7, 1.5 + 0.5j])
+@pytest.mark.parametrize("s", [2.5, 1.3, 0.4, -0.7, 1.5 + 0.5j, -15.5])
 def test_hurwitz_reduction(s):
     # zeta_1(s, z | w) = w^(-s) * zeta_H(s, z/w)
-    for z, w in [(0.65, 1.0), (1.3 + 0.4j, 1.0), (0.8, 1.7), (0.5 + 0.1j, 0.9)]:
+    for z, w in [(0.65, 1.0), (1.3 + 0.4j, 1.0), (0.8, 1.7), (0.5 + 0.1j, 0.9),
+                 (0.7, 4.0), (2.5, 3.0)]:
         got = barnes_zeta(s, BarnesEvaluation(1, z, (w,)))
         want = complex(mp.zeta(s, complex(z) / w) * mp.mpc(w) ** (-s))
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
@@ -213,6 +214,12 @@ def test_domain_guards():
         log_h(0.3, -0.1, 1.0)
     with pytest.raises(DomainError):
         nonperturbative_potential(-0.1, 0.3 + 0.4j)
+    with pytest.raises(DomainError):
+        barnes_zeta(0.5, BarnesEvaluation(1, 0.7, (5.0,)))  # series too slow
+    with pytest.raises(DomainError):
+        barnes_zeta(-26.5, BarnesEvaluation(1, 0.7, (1.0,)))  # 1/Gamma(s) ~ 1e27
+    with pytest.raises(DomainError):
+        barnes_zeta(0.5 + 40j, BarnesEvaluation(1, 0.7, (1.0,)))  # 1/Gamma(s) ~ 1e27
 
 
 def test_fold_2pii():
@@ -228,3 +235,15 @@ def test_barnes_zeta_pole_protection():
     # s at a pole of zeta_2 must raise rather than return garbage
     with pytest.raises(DomainError):
         barnes_zeta(2, BarnesEvaluation(2, 0.8, (1.0, 1.1)))
+
+
+def test_barnes_zeta_nonpositive_integer_limit():
+    # zeta_r(-m) reads the Laurent coefficient a_{r+m}; m = 64 - r is the
+    # last one stored, past it the evaluation is a DomainError
+    got = barnes_zeta(-63, BarnesEvaluation(1, 0.7, (1.0,)))
+    want = complex(mp.zeta(-63, 0.7))
+    assert abs(got - want) <= 1e-10 * abs(want)
+    with pytest.raises(DomainError, match="m <= 63"):
+        barnes_zeta(-64, BarnesEvaluation(1, 0.7, (1.0,)))
+    with pytest.raises(DomainError, match="m <= 61"):
+        barnes_zeta(-62, BarnesEvaluation(3, 0.7, (1.0, 1.0, 1.0)))

@@ -55,6 +55,20 @@ def test_barnes_eval_default(capsys):
     assert "value" in rep["results"]
 
 
+def test_barnes_zeta_below_stored_coefficients_exits_2(capsys):
+    assert main(["barnes", "eval", "--function", "zeta", "--s", "-70",
+                 "--z", "0.7", "--omega", "1"]) == 2
+    assert "m <= 63" in capsys.readouterr().err
+
+
+def test_barnes_quadrature_failure_exits_2(capsys):
+    assert main(["barnes", "eval", "--function", "log-gamma",
+                 "--z", "0.01+5i", "--omega", "1,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and "estimate" in err
+
+
 def test_barnes_eval_log_g(capsys):
     code, rep = run_json(capsys, ["barnes", "eval", "--function", "log-g",
                                   "--t", "0.3+0.4i", "--lam", "0.2"])
