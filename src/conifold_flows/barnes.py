@@ -17,22 +17,23 @@ outside the strip where the integral representation converges.
 All heavy arithmetic runs in mpmath at a working precision derived from
 the requested quadrature tolerance, so that the severe cancellation
 between the series terms and the integral stays far below the returned
-accuracy.  Entry points serialize mpmath precision changes behind a lock;
-for parallel sweeps use separate processes.
+accuracy.  ``working_precision(quad_tol)`` alone maps a tolerance to those
+digits and holds the lock that serializes precision changes; every entry
+point here, and every mpmath computation in :mod:`gw`, runs under it.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
 from .errors import DomainError, PoleError
-from .specfun import _egf_coefficients
+from .specfun import bernoulli_egf, gen_bernoulli
 
 __all__ = [
     "BarnesEvaluation",
@@ -42,7 +43,9 @@ __all__ = [
     "log_multiple_sine",
     "log_h",
     "log_g",
+    "log_g_highprec",
     "nonperturbative_potential",
+    "working_precision",
     "fold_2pii",
 ]
 
@@ -55,6 +58,16 @@ _PREC_LOCK = threading.RLock()
 
 def _dps_for(quad_tol: float) -> int:
     return max(25, int(round(-mp.log10(quad_tol))) + 13)
+
+
+@contextlib.contextmanager
+def working_precision(quad_tol: float = DEFAULT_QUAD_TOL):
+    """Hold the precision lock and run at the mpmath digits that keep the
+    cancellations behind a result of tolerance quad_tol harmless; yields
+    those digits."""
+    dps = _dps_for(quad_tol)
+    with _PREC_LOCK, mp.workdps(dps):
+        yield dps
 
 
 @dataclass(frozen=True)
@@ -84,27 +97,12 @@ class BarnesEvaluation:
             raise DomainError("quadrature tolerance must be positive")
 
 
-def _to_mp(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
-
-
-def _conv_mp(q: Fraction):
-    return mp.mpc(_to_mp(q))
-
-
 @functools.lru_cache(maxsize=512)
 def _laurent_coeffs(z, omegas, nmax: int, dps: int):
     """a_n = (-1)^n B_{r,n}(z|omega)/n!, n = 0..nmax, at working precision."""
     with mp.workdps(dps):
-        c = _egf_coefficients(mp.mpc(z), [mp.mpc(w) for w in omegas], nmax,
-                              _conv_mp)
+        c = bernoulli_egf(mp.mpc(z), [mp.mpc(w) for w in omegas], nmax)
         return tuple(((-1) ** n) * c[n] for n in range(nmax + 1))
-
-
-def _gb_mp(n: int, z, omegas):
-    """Generalized Bernoulli polynomial B_{r,n}(z|omega) in mp arithmetic."""
-    c = _egf_coefficients(mp.mpc(z), [mp.mpc(w) for w in omegas], n, _conv_mp)
-    return c[n] * mp.factorial(n)
 
 
 class _SplitIntegral:
@@ -127,6 +125,8 @@ class _SplitIntegral:
                 "period modulus above 10 exceeds the Laurent-series radius "
                 "used on (0, 1/2); rescale with the homogeneity relation")
         self.x0 = mp.mpf("0.5")
+        # upper end of the integral: e^{-Re(z) T} < 1e-18
+        self.T = max(mp.mpf(2), 18 * mp.log(10) / mp.re(self.z))
         self.a = _laurent_coeffs(self.z, self.omegas, _LAURENT_ORDER, self.dps)
         # the series on (0, x0) must have converged by its last term
         scale = max(abs(an) for an in self.a) + mp.mpf(1)
@@ -142,11 +142,8 @@ class _SplitIntegral:
         return val
 
     def _quad(self, fn):
-        rez = mp.re(self.z)
-        # e^{-Re(z) T} < 1e-18 cutoff
-        T = max(mp.mpf(2), 18 * mp.log(10) / rez)
-        mid = min(1 + 4 / rez, T / 2 + mp.mpf("0.5"))
-        points = [self.x0, mp.mpf(1), mid, T]
+        mid = min(1 + 4 / mp.re(self.z), self.T / 2 + mp.mpf("0.5"))
+        points = [self.x0, mp.mpf(1), mid, self.T]
         val, err = mp.quad(fn, points, error=True)
         if err > self.quad_tol:
             val, err = mp.quad(fn, points, maxdegree=9, error=True)
@@ -171,13 +168,15 @@ class _SplitIntegral:
             gamma = mp.gamma(s)
             value = (series + integral) / gamma
             # 1/Gamma(s) magnifies what that cancellation leaves: the
-            # rounding, and the series truncation, estimated by its last term
+            # rounding, the series truncation, estimated by its last term,
+            # and the integral cut at T, estimated by its leading tail
+            cut = self.T ** (mp.re(s) - 1) * mp.exp(-mp.re(self.z) * self.T)
             err = (max(abs(series), abs(integral)) * mp.mpf(10) ** -dps
-                   + abs(terms[-1])) / abs(gamma)
+                   + abs(terms[-1]) + cut / mp.re(self.z)) / abs(gamma)
         if err > self.quad_tol * max(1, abs(value)):
             raise DomainError(
                 f"zeta_{self.r} at s = {complex(s)}: 1/Gamma(s) magnifies "
-                f"the rounding and truncation error to about "
+                f"the rounding, truncation and cut-off error to about "
                 f"{mp.nstr(err, 3)}, above the tolerance {self.quad_tol}")
         return value
 
@@ -210,7 +209,7 @@ def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
 
     Raises PoleError at the simple poles s = 1..r.
     """
-    with _PREC_LOCK, mp.workdps(_dps_for(ev.quad_tol)):
+    with working_precision(ev.quad_tol):
         s_mp = mp.mpc(s)
         for k in range(1, ev.rank + 1):
             if abs(s_mp - k) < 1e-12:
@@ -225,14 +224,14 @@ def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
 
 def zeta_at_zero(ev: BarnesEvaluation) -> complex:
     """zeta_r(0, z | omega) = (-1)^r B_{r,r}(z|omega) / r!."""
-    with _PREC_LOCK, mp.workdps(_dps_for(ev.quad_tol)):
+    with working_precision(ev.quad_tol):
         core = _SplitIntegral(ev.z, ev.omega, ev.quad_tol)
         return complex(core.zeta_nonpos_int(0))
 
 
 def log_multiple_gamma(ev: BarnesEvaluation) -> complex:
     """log Gamma_r(z | omega) := d/ds zeta_r(s, z | omega) at s = 0."""
-    with _PREC_LOCK, mp.workdps(_dps_for(ev.quad_tol)):
+    with working_precision(ev.quad_tol):
         return complex(_log_gamma_cached(mp.mpc(ev.z), tuple(mp.mpc(w) for w in ev.omega),
                                          ev.quad_tol))
 
@@ -271,7 +270,7 @@ def log_multiple_sine(z, omega: Sequence[complex],
         raise DomainError("rank must be 1, 2 or 3")
     if any(w.real <= 0 for w in omega):
         raise DomainError("all periods need positive real part")
-    with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
+    with working_precision(quad_tol):
         return complex(_log_sine_mp(z, omega, quad_tol))
 
 
@@ -290,15 +289,13 @@ def _h_step(t, w2):
     return -_log1mexp(2 * mp.pi * mp.mpc(0, 1) * t / w2)
 
 
-def _pick_shift(t, w1, w2, lower_margin):
+def _pick_shift(t, w1, w2):
     """Integer k with t + k*w1 inside the direct strip of width Re(w1 + w2)."""
     width = mp.re(w1) + mp.re(w2)
-    lo = lower_margin
-    target = (lo + width) / 2
-    k0 = int(mp.nint((target - mp.re(t)) / mp.re(w1)))
+    k0 = int(mp.nint((width / 2 - mp.re(t)) / mp.re(w1)))
     for k in (k0, k0 + 1, k0 - 1, k0 + 2, k0 - 2):
         re_new = mp.re(t) + k * mp.re(w1)
-        if lo < re_new < width - mp.mpf("1e-12"):
+        if 0 < re_new < width - mp.mpf("1e-12"):
             if abs(k) > _EXTENSION_STEP_CAP:
                 raise DomainError("difference-equation extension needs more "
                                   f"than {_EXTENSION_STEP_CAP} steps")
@@ -311,9 +308,9 @@ def _log_h_mp(t, w1, w2, quad_tol: float):
     w1, w2 = mp.mpc(w1), mp.mpc(w2)
     width = mp.re(w1) + mp.re(w2)
     if mp.mpf(0) < mp.re(t) < width:
-        pref = -mp.pi * mp.mpc(0, 1) / 2 * _gb_mp(2, t, (w1, w2))
+        pref = -mp.pi * mp.mpc(0, 1) / 2 * gen_bernoulli(2, 2, t, (w1, w2))
         return pref + _log_sine_mp(t, (w1, w2), quad_tol)
-    k = _pick_shift(t, w1, w2, mp.mpf(0))
+    k = _pick_shift(t, w1, w2)
     base = _log_h_mp(t + k * w1, w1, w2, quad_tol)
     # H(t + w1) = H(t) * (1 - x2(t))^{-1} with x2 = exp(2 pi i t / w2)
     corr = mp.mpc(0)
@@ -337,14 +334,14 @@ def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     w1, w2 = complex(omega1), complex(omega2)
     if w1.real <= 0 or w2.real <= 0:
         raise DomainError("periods need positive real part")
-    with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
+    with working_precision(quad_tol):
         return complex(_log_h_mp(t, w1, w2, quad_tol))
 
 
 def _log_g_direct_mp(t, w1, w2, quad_tol):
     z = mp.mpc(t) + w1
     om = (w1, w1, w2)
-    pref = mp.pi * mp.mpc(0, 1) / 6 * _gb_mp(3, z, om)
+    pref = mp.pi * mp.mpc(0, 1) / 6 * gen_bernoulli(3, 3, z, om)
     return pref + _log_sine_mp(z, om, quad_tol)
 
 
@@ -354,9 +351,7 @@ def _log_g_mp(t, w1, w2, quad_tol: float):
     # direct strip for the shifted argument: -Re w1 < Re t < Re(w1 + w2) - Re w1
     if -mp.re(w1) < mp.re(t) < mp.re(w2):
         return _log_g_direct_mp(t, w1, w2, quad_tol)
-    k = _pick_shift(t + w1, w1, w2, mp.mpf(0))
-    if abs(k) > _EXTENSION_STEP_CAP:
-        raise DomainError("extension step cap exceeded")
+    k = _pick_shift(t + w1, w1, w2)
     acc = mp.mpc(0)
     # G(t + w1) = G(t) / H(t + w1 | w1, w2)
     if k > 0:
@@ -376,11 +371,7 @@ def log_g(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     Satisfies G(t + w1)/G(t) = H(t + w1 | w1, w2)^{-1}, hence a second
     difference in steps of w1 equal to log(1 - exp(2 pi i t / w2)).
     """
-    w1, w2 = complex(omega1), complex(omega2)
-    if w1.real <= 0 or w2.real <= 0:
-        raise DomainError("periods need positive real part")
-    with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
-        return complex(_log_g_mp(t, w1, w2, quad_tol))
+    return complex(log_g_highprec(t, omega1, omega2, quad_tol))
 
 
 def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
@@ -388,12 +379,12 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
 
     Needed where a large value is subtracted from a nearby one (asymptotic
     remainders, second differences) and float64 rounding of the individual
-    values would drown the signal.
+    values would drown the signal.  mpmath arguments keep their digits.
     """
-    w1, w2 = complex(omega1), complex(omega2)
-    if w1.real <= 0 or w2.real <= 0:
-        raise DomainError("periods need positive real part")
-    with _PREC_LOCK, mp.workdps(_dps_for(quad_tol)):
+    with working_precision(quad_tol):
+        w1, w2 = mp.mpc(omega1), mp.mpc(omega2)
+        if not (mp.re(w1) > 0 and mp.re(w2) > 0):
+            raise DomainError("periods need positive real part")
         return _log_g_mp(t, w1, w2, quad_tol)
 
 

@@ -628,12 +628,17 @@ def check_density_constraint(which: str = "h", samples: int = 20,
 
     def one(point):
         u0, v0 = point
-        g_uu = _second_derivative_fd(
-            lambda du: _density_pointwise(zeta0, u0 + du, v0, which),
-            0.0, fd_step)
-        g_vv = _second_derivative_fd(
-            lambda dv: _density_pointwise(zeta0, u0, v0 + dv, which),
-            0.0, fd_step)
+        g0 = _density_pointwise(zeta0, u0, v0, which)
+
+        def density(u, v):
+            # -i/2 log(...) jumps by pi across its cut: use the centre's sheet
+            g = _density_pointwise(zeta0, u, v, which)
+            return g - np.pi * np.round((g - g0).real / np.pi)
+
+        g_uu = _second_derivative_fd(lambda du: density(u0 + du, v0),
+                                     0.0, fd_step)
+        g_vv = _second_derivative_fd(lambda dv: density(u0, v0 + dv),
+                                     0.0, fd_step)
         factor = 1.0 / (cmath.exp(u0) - 1.0)
         scale = max(abs(g_uu), abs(factor * g_vv), 1e-300)
         return (abs(g_uu - factor * g_vv) / scale,

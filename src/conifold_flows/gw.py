@@ -23,7 +23,7 @@ import numpy as np
 
 from . import barnes
 from .errors import DomainError
-from .specfun import bernoulli_number, polylog, _is_mp
+from .specfun import bernoulli_number, is_mp, polylog
 
 __all__ = [
     "fugacity",
@@ -42,7 +42,7 @@ def fugacity(t):
     """q = exp(2 pi i t), with Re t reduced mod 1 first so that integer
     shifts of t give bitwise-identical q (the genus pieces are exactly
     1-periodic in t)."""
-    if _is_mp(t):
+    if is_mp(t):
         t = mp.mpc(t)
         re = mp.re(t) - mp.floor(mp.re(t))
         return mp.exp(2j * mp.pi * mp.mpc(re, mp.im(t)))
@@ -63,7 +63,7 @@ def free_energy_genus(g: int, t, series_tol: float = 1e-15):
     """Genus-g free energy at Kaehler parameter t (upper half-plane)."""
     if g < 0:
         raise DomainError("genus must be non-negative")
-    if _is_mp(t):
+    if is_mp(t):
         if not mp.im(t) > 0:
             raise DomainError("need Im t > 0 so that |q| < 1")
     elif not complex(t).imag > 0:
@@ -73,7 +73,7 @@ def free_energy_genus(g: int, t, series_tol: float = 1e-15):
         return polylog(3, q, tol=series_tol)
     c = genus_coefficient(g)
     li = polylog(3 - 2 * g, q, tol=series_tol)
-    if _is_mp(li):
+    if is_mp(li):
         return mp.mpf(c.numerator) / c.denominator * li
     return c.numerator / c.denominator * li
 
@@ -111,16 +111,19 @@ def equivariant_potential(lam_check, t, x, kappa,
 
 
 def _second_difference_mp(t, lam_check, quad_tol):
-    dps = barnes._dps_for(quad_tol)
-    with barnes._PREC_LOCK, mp.workdps(dps):
-        up = barnes._log_g_mp(mp.mpc(t) + mp.mpc(lam_check), lam_check, 1,
-                              quad_tol)
-        mid = barnes._log_g_mp(mp.mpc(t), lam_check, 1, quad_tol)
-        dn = barnes._log_g_mp(mp.mpc(t) - mp.mpc(lam_check), lam_check, 1,
-                              quad_tol)
-        q = fugacity(mp.mpc(t))
+    """Second difference of log_g, both right sides, folded residual, winding."""
+    lam_check = complex(lam_check)
+    if lam_check.real <= 0:
+        raise DomainError("reduced coupling needs positive real part")
+    with barnes.working_precision(quad_tol):
+        t, lam = mp.mpc(t), mp.mpc(lam_check)
+        up, mid, dn = (barnes.log_g_highprec(arg, lam_check, 1, quad_tol)
+                       for arg in (t + lam, t, t - lam))
+        lhs = up - 2 * mid + dn
+        q = fugacity(t)
         rhs = mp.log(1 - q)
-        return up - 2 * mid + dn, rhs, q, dps
+        folded, winding = barnes.fold_2pii(lhs - rhs)
+        return lhs, rhs, -polylog(1, q), folded, winding
 
 
 def check_difference_equation(lam_check, t,
@@ -132,12 +135,7 @@ def check_difference_equation(lam_check, t,
     The right side is the closed form of (i q d/dq)^2 Li_3(q); the residual
     is folded mod 2 pi i before being returned.
     """
-    lam_check = complex(lam_check)
-    if lam_check.real <= 0:
-        raise DomainError("reduced coupling needs positive real part")
-    lhs, rhs, _, _ = _second_difference_mp(t, lam_check, quad_tol)
-    folded, _ = barnes.fold_2pii(lhs - rhs)
-    return complex(folded)
+    return complex(_second_difference_mp(t, lam_check, quad_tol)[3])
 
 
 def difference_equation_report(lam_check, t,
@@ -148,13 +146,8 @@ def difference_equation_report(lam_check, t,
     equals the closed form log(1 - q); both are reported so the sign
     convention is auditable.
     """
-    lam_check = complex(lam_check)
-    if lam_check.real <= 0:
-        raise DomainError("reduced coupling needs positive real part")
-    lhs, rhs, q, dps = _second_difference_mp(t, lam_check, quad_tol)
-    with mp.workdps(dps):
-        via_derivative = -polylog(1, q)
-        folded, winding = barnes.fold_2pii(lhs - rhs)
+    lhs, rhs, via_derivative, folded, winding = _second_difference_mp(
+        t, lam_check, quad_tol)
     return {
         "second_difference": complex(lhs),
         "rhs_closed_form": complex(rhs),
@@ -172,7 +165,7 @@ def truncated_difference_residual(lam_check, t, genus_cap: int,
     Taylor orders of the second difference cancel across genus up to and
     including lam^(2 genus_cap); the residual therefore shrinks like
     lam^(2 genus_cap + 2)."""
-    with barnes._PREC_LOCK, mp.workdps(30):
+    with barnes.working_precision(series_tol):
         lam_check_mp = mp.mpc(lam_check)
         t_mp = mp.mpc(t)
         lam = 2 * mp.pi * lam_check_mp
@@ -201,9 +194,8 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
     """
     if len(eps_list) < 2:
         raise DomainError("need at least two ray points to fit a slope")
-    dps = barnes._dps_for(quad_tol)
     xs, ys = [], []
-    with barnes._PREC_LOCK, mp.workdps(dps):
+    with barnes.working_precision(quad_tol) as dps:
         t_mp = mp.mpc(t)
         if not mp.im(t_mp) > 0:
             raise DomainError("need Im t > 0")
@@ -217,7 +209,7 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
         for eps in eps_list:
             lam_check = mp.mpf(repr(float(eps))) * phase
             lam = 2 * mp.pi * lam_check
-            total = barnes._log_g_mp(t_mp, lam_check, 1, quad_tol)
+            total = barnes.log_g_highprec(t_mp, lam_check, 1, quad_tol)
             for g, fg in enumerate(genus_values):
                 total -= lam ** (2 * g - 2) * fg
             if total == 0:

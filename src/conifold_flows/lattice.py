@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .barnes import fold_2pii
 from .errors import DomainError, SingularStateError
 from .reporting import fmt_float, write_csv, write_json
 
@@ -163,8 +164,9 @@ class Trajectory:
         return np.array([s.time for s in self.states])
 
     def conserved_drift(self) -> float:
+        # C0 is the log of the conserved product, so only defined mod 2 pi i
         ref = self.conserved[0]
-        return max(abs(c - ref) for c in self.conserved)
+        return max(abs(fold_2pii(c - ref)[0]) for c in self.conserved)
 
 
 def integrate(state: LatticeState, steps: int, dt: float,

@@ -28,7 +28,9 @@ __all__ = [
     "bernoulli_number",
     "BernoulliTable",
     "bernoulli_table",
+    "bernoulli_egf",
     "gen_bernoulli",
+    "is_mp",
     "polylog",
 ]
 
@@ -80,14 +82,26 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
 # generalized Bernoulli polynomials
 # ---------------------------------------------------------------------------
 
-def _egf_coefficients(z, omegas, nmax: int, conv):
+def is_mp(x) -> bool:
+    """True for mpmath real and complex scalars."""
+    return isinstance(x, (mp.mpf, mp.mpc))
+
+
+def bernoulli_egf(z, omegas, nmax: int):
     """Taylor coefficients c_n = B_{r,n}(z|omega)/n! of the generating function
 
         x^r e^{z x} / prod_i (e^{omega_i x} - 1) = sum_n c_n x^n.
 
-    ``conv`` lifts a Fraction into the coefficient ring of ``z``/``omegas``;
-    the same code therefore serves the exact, complex and mpmath paths.
+    The type of ``z`` picks the coefficient ring (Fraction, mpmath or
+    complex) into which the exact Bernoulli numbers are lifted.
     """
+    if isinstance(z, Fraction):
+        conv = Fraction
+    elif is_mp(z):
+        def conv(q):
+            return mp.mpc(mp.mpf(q.numerator) / q.denominator)
+    else:
+        conv = complex
     one = conv(Fraction(1))
     inv_fact = [one]
     for k in range(1, nmax + 1):
@@ -127,8 +141,9 @@ def gen_bernoulli(r: int, n: int, z, omega: Sequence):
     Defined by x^r e^{z x} / prod_i (e^{omega_i x} - 1)
              = sum_{n>=0} B_{r,n}(z|omega) x^n / n!.
 
-    Exact Fraction arithmetic when every input is rational, complex
-    arithmetic otherwise.  Symmetric in the omega entries.
+    Exact Fraction arithmetic when every input is rational, mpmath
+    arithmetic at the working precision when any input is an mpmath scalar,
+    complex arithmetic otherwise.  Symmetric in the omega entries.
     """
     omega = tuple(omega)
     if r < 1:
@@ -140,15 +155,11 @@ def gen_bernoulli(r: int, n: int, z, omega: Sequence):
     if any(w == 0 for w in omega):
         raise DomainError("periods must be non-zero")
 
-    exact = isinstance(z, (int, Fraction)) and all(
-        isinstance(w, (int, Fraction)) for w in omega
-    )
-    if exact:
-        coeffs = _egf_coefficients(Fraction(z), [Fraction(w) for w in omega], n,
-                                   lambda q: q)
-        return coeffs[n] * math.factorial(n)
-    coeffs = _egf_coefficients(complex(z), [complex(w) for w in omega], n,
-                               lambda q: complex(float(q)))
+    if all(isinstance(x, (int, Fraction)) for x in (z, *omega)):
+        lift = Fraction
+    else:
+        lift = mp.mpc if any(is_mp(x) for x in (z, *omega)) else complex
+    coeffs = bernoulli_egf(lift(z), [lift(w) for w in omega], n)
     return coeffs[n] * math.factorial(n)
 
 
@@ -168,12 +179,8 @@ def _stirling2(n: int, k: int) -> int:
     return _STIRLING2[(n, k)]
 
 
-def _is_mp(x) -> bool:
-    return isinstance(x, (mp.mpf, mp.mpc))
-
-
 def _log(x):
-    return mp.log(x) if _is_mp(x) else cmath.log(x)
+    return mp.log(x) if is_mp(x) else cmath.log(x)
 
 
 def polylog(s: int, z, tol: float = 1e-15):

@@ -220,6 +220,8 @@ def test_domain_guards():
         barnes_zeta(-26.5, BarnesEvaluation(1, 0.7, (1.0,)))  # 1/Gamma(s) ~ 1e27
     with pytest.raises(DomainError):
         barnes_zeta(0.5 + 40j, BarnesEvaluation(1, 0.7, (1.0,)))  # 1/Gamma(s) ~ 1e27
+    with pytest.raises(DomainError):
+        barnes_zeta(0.5 + 15j, BarnesEvaluation(1, 0.7, (1.0,)))  # cut at T
 
 
 def test_fold_2pii():

@@ -145,6 +145,16 @@ def test_al_run_short(capsys, tmp_path):
     assert meta["schema"] == 1 and meta["sites"] == 16
 
 
+def test_al_run_drift_is_folded_mod_2pii(capsys):
+    # C0 = sum log(1 - a b) winds by 2 pi i twice along this plane wave;
+    # that winding is not drift
+    code, rep = run_json(capsys, [
+        "al", "run", "--N", "8", "--steps", "2000", "--dt", "1e-3",
+        "--planewave", "A=2,B=0.6,mode=1"])
+    assert code == 0 and rep["status"] == "pass"
+    assert float(rep["residuals"]["conserved_drift"]) < 1e-12
+
+
 def test_al_run_incommensurate_wavenumber(capsys):
     assert main(["al", "run", "--N", "16", "--steps", "10",
                  "--planewave", "A=0.2,B=0.1,k=2pi/7"]) == 2

@@ -307,9 +307,12 @@ def test_density_and_delta_flow_guards():
 # density constraint (Frobenius layer)
 
 
-@pytest.mark.parametrize("which", ["h", "ht"])
-def test_density_constraint_both_signs_reported(which):
-    rep = check_density_constraint(which=which)
+# seed 12 (h) and seed 54 (ht) put a stencil across the pi jump of the log
+@pytest.mark.parametrize("which,seed", [
+    pytest.param(which, seed, id=which if seed == 7 else f"{which}-{seed}")
+    for seed in (7, 12, 54) for which in ("h", "ht")])
+def test_density_constraint_both_signs_reported(which, seed):
+    rep = check_density_constraint(which=which, seed=seed)
     # sharp residual within tolerance, and the satisfied prefactor is
     # uniformly 1/(1 - e^u) (sign -1 relative to 1/(e^u - 1))
     assert rep["max_residual"] <= 1e-6, rep

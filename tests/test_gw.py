@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 import sympy
 
-from conifold_flows import DomainError
+from conifold_flows import DomainError, barnes
 from conifold_flows.gw import (
     asymptotic_remainder_scan,
     check_difference_equation,
@@ -153,3 +153,31 @@ def test_remainder_scan_guards():
     with pytest.raises(DomainError):
         # |q| too large for the scan's error model
         asymptotic_remainder_scan(0.35 + 0.01j, 0.0, [0.1, 0.05], 2)
+
+
+def test_results_do_not_depend_on_caller_precision():
+    # barnes.working_precision owns the digits: the caller's mp.dps neither
+    # changes a result nor is changed by the call.  At this point the second
+    # difference winds 3 times, so a fold at the caller's precision loses
+    # the residual.
+    lam, t = 0.14 - 0.33j, -0.12 + 0.5j
+
+    def run_all():
+        barnes._laurent_coeffs.cache_clear()
+        barnes._log_gamma_cached.cache_clear()
+        return (barnes.log_g(T0, 0.1 + 0.1j, 1.0),
+                difference_equation_report(lam, t),
+                check_difference_equation(lam, t),
+                truncated_difference_residual(0.08, 0.35 + 0.35j, 2),
+                asymptotic_remainder_scan(0.35 + 0.35j, math.pi / 4,
+                                          [0.05, 0.1], 2))
+
+    want = run_all()
+    saved = mp.mp.dps
+    try:
+        for dps in (8, 50):
+            mp.mp.dps = dps
+            assert run_all() == want, dps
+            assert mp.mp.dps == dps
+    finally:
+        mp.mp.dps = saved
