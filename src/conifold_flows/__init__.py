@@ -81,7 +81,6 @@ from .lattice import (
     gauge_transform,
     integrate,
     plane_wave_frequency,
-    plane_wave_state,
     rk4_step,
 )
 from .disp import (
@@ -89,7 +88,6 @@ from .disp import (
     FrobeniusData,
     GridFunction,
     PotentialField,
-    ZetaExpansion,
     check_density_constraint,
     check_hamiltonian_form,
     check_principal_identification,
@@ -152,7 +150,6 @@ __all__ = [
     "PlaneWaveParams",
     "Trajectory",
     "plane_wave_frequency",
-    "plane_wave_state",
     "al_rhs",
     "rk4_step",
     "conserved_quantity",
@@ -161,7 +158,6 @@ __all__ = [
     "GridFunction",
     "PotentialField",
     "DispersionlessFields",
-    "ZetaExpansion",
     "FrobeniusData",
     "flow_rhs",
     "recombined_flow",

@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import barnes, disp, gw, hirota, lattice, specfun
-from .errors import DomainError, GradientCatastropheError, PoleError
+from .errors import (DomainError, GradientCatastropheError, PoleError,
+                     SingularStateError)
 from .reporting import dump_json, parse_complex, write_json
 
 _EXIT_PASS = 0
@@ -268,9 +269,17 @@ def _parse_planewave(text: str, n: int) -> lattice.PlaneWaveParams:
 
 def _cmd_al_run(args) -> tuple[dict, int]:
     pw = _parse_planewave(args.planewave, args.sites)
+    params = {"sites": args.sites, "dt": args.dt, "steps": args.steps,
+              "mode": pw.mode, "amp_a": pw.amp_a, "amp_b": pw.amp_b}
     state = pw.state_at(0.0)
-    traj = lattice.integrate(state, args.steps, args.dt,
-                             sample_every=max(1, args.steps // 10))
+    try:
+        traj = lattice.integrate(state, args.steps, args.dt,
+                                 sample_every=max(1, args.steps // 10))
+    except SingularStateError as exc:
+        report = _report("al run", params,
+                         {"aborted": True, "reason": str(exc)},
+                         status="fail")
+        return report, _EXIT_FAIL
     final = traj.states[-1]
     exact = pw.state_at(final.time)
     max_err = max(float(np.max(np.abs(final.a - exact.a))),
@@ -282,9 +291,7 @@ def _cmd_al_run(args) -> tuple[dict, int]:
                                    "amp_a": pw.amp_a, "amp_b": pw.amp_b})
     status = "pass" if (max_err <= args.tol and drift <= args.drift_tol) else "fail"
     report = _report(
-        "al run",
-        {"sites": args.sites, "dt": args.dt, "steps": args.steps,
-         "mode": pw.mode, "amp_a": pw.amp_a, "amp_b": pw.amp_b},
+        "al run", params,
         {"final_time": final.time,
          "frequency": pw.frequency,
          "conserved_initial": traj.conserved[0],

@@ -32,14 +32,13 @@ import numpy as np
 from .errors import (DomainError, GradientCatastropheError,
                      TruncationOrderError)
 from .reporting import fmt_float, write_csv, write_json
-from .specfun import polylog
+from .specfun import dense_log, dense_sqrt, polylog
 
 __all__ = [
     "GridFunction",
     "DispersionlessFields",
     "PotentialField",
     "FrobeniusData",
-    "ZetaExpansion",
     "flow_generating_series",
     "flow_coefficient",
     "flow_rhs",
@@ -242,106 +241,16 @@ class PotentialField:
 
 
 # ---------------------------------------------------------------------------
-# truncated expansions in the spectral parameter
-
-
-class ZetaExpansion:
-    """Truncated power series in the spectral parameter with grid-valued
-    (numpy array) or scalar coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [np.asarray(c, dtype=complex) for c in coeffs]
-        if not self.coeffs:
-            raise DomainError("expansion needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_polynomial(cls, coeffs, order: int):
-        base = [np.asarray(c, dtype=complex) for c in coeffs]
-        shape = np.broadcast_shapes(*(c.shape for c in base))
-        out = [np.broadcast_to(c, shape).astype(complex) for c in base]
-        while len(out) <= order:
-            out.append(np.zeros(shape, dtype=complex))
-        return cls(out[:order + 1])
-
-    def coefficient(self, j: int) -> np.ndarray:
-        if j > self.order:
-            raise TruncationOrderError(
-                f"coefficient {j} beyond truncation order {self.order}")
-        return self.coeffs[j]
-
-    def __add__(self, other):
-        if isinstance(other, ZetaExpansion):
-            n = min(self.order, other.order)
-            return ZetaExpansion([self.coeffs[k] + other.coeffs[k]
-                                  for k in range(n + 1)])
-        out = [c.copy() for c in self.coeffs]
-        out[0] = out[0] + other
-        return ZetaExpansion(out)
-
-    def __mul__(self, other):
-        if isinstance(other, ZetaExpansion):
-            n = min(self.order, other.order)
-            out = []
-            for k in range(n + 1):
-                acc = self.coeffs[0] * other.coeffs[k]
-                for i in range(1, k + 1):
-                    acc = acc + self.coeffs[i] * other.coeffs[k - i]
-                out.append(acc)
-            return ZetaExpansion(out)
-        return ZetaExpansion([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def sqrt(self) -> "ZetaExpansion":
-        """Branch-free square root about the constant term (which must be
-        bounded away from zero; here it is identically 1)."""
-        c0 = self.coeffs[0]
-        if np.any(np.abs(c0) < _BRANCH_TOL):
-            raise DomainError("square-root expansion hits a branch point")
-        s0 = np.sqrt(c0)
-        out = [s0]
-        for k in range(1, self.order + 1):
-            acc = self.coeffs[k].astype(complex).copy()
-            for i in range(1, k):
-                acc = acc - out[i] * out[k - i]
-            out.append(acc / (2.0 * s0))
-        return ZetaExpansion(out)
-
-    def log(self) -> "ZetaExpansion":
-        c0 = self.coeffs[0]
-        if np.any(np.abs(c0) < _BRANCH_TOL):
-            raise DomainError("log expansion hits a branch point")
-        out = [np.log(c0)]
-        for k in range(1, self.order + 1):
-            acc = self.coeffs[k].astype(complex).copy()
-            for i in range(1, k):
-                acc = acc - (float(k - i) / k) * self.coeffs[i] * out[k - i]
-            out.append(acc / c0)
-        return ZetaExpansion(out)
-
-    def eval(self, zeta0: complex):
-        acc = self.coeffs[self.order].astype(complex)
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * zeta0 + self.coeffs[k]
-        return acc
-
-
-# ---------------------------------------------------------------------------
 # flows
 
 
-def _exponentials(fields: DispersionlessFields, direction: str):
+def _exponentials(u, v, direction: str):
+    """E = e^{+/-v} and F = e^{-u} from total field values, with the
+    overflow and branch guards every flow evaluation needs."""
     if direction not in ("z", "zt"):
         raise DomainError("direction must be 'z' or 'zt'")
-    v_tot = fields.v.total_values()
-    e = np.exp(v_tot if direction == "z" else -v_tot)
-    f = np.exp(-fields.u.total_values())
+    e = np.exp(v if direction == "z" else -v)
+    f = np.exp(-u)
     if not (np.all(np.isfinite(e)) and np.all(np.isfinite(f))):
         raise DomainError("field exponentials overflow on the grid")
     if np.any(np.abs(1.0 - f) < _BRANCH_TOL):
@@ -349,48 +258,64 @@ def _exponentials(fields: DispersionlessFields, direction: str):
     return e, f
 
 
+def _padded(coeffs, order: int):
+    """Polynomial coefficients as a dense series truncated at zeta^order."""
+    zero = np.zeros_like(coeffs[0])
+    return (coeffs + [zero] * order)[:order + 1]
+
+
+def _log_series(e, f, order: int):
+    """Dense zeta-series of G_u and G_v to the given order."""
+    one = np.ones_like(e)
+    s = dense_sqrt(_padded([one, 2.0 * e - 4.0 * e * f, e * e], order))
+    g_u = dense_log([(a + b) * 0.5
+                     for a, b in zip(_padded([one, e], order), s)])
+    g_v = dense_log([(a + b) * 0.5
+                     for a, b in zip(_padded([one, -e], order), s)])
+    return g_u, g_v
+
+
 def flow_generating_series(fields: DispersionlessFields, direction: str,
                            order: int):
     """Expansions of the two log generating functions up to the given
-    order; returns (G_u, G_v) as ZetaExpansions with grid coefficients."""
+    order; returns (G_u, G_v) as lists of grid arrays, entry j being the
+    zeta^j coefficient."""
     if order < 1:
         raise TruncationOrderError("expansion order must be at least 1")
-    e, f = _exponentials(fields, direction)
-    one = np.ones_like(e)
-    s2 = ZetaExpansion.from_polynomial([one, 2.0 * e - 4.0 * e * f, e * e],
-                                       order)
-    s = s2.sqrt()
-    half = 0.5
-    g_u = ((ZetaExpansion.from_polynomial([one, e], order) + s) * half).log()
-    g_v = ((ZetaExpansion.from_polynomial([one, -e], order) + s) * half).log()
-    return g_u, g_v
+    e, f = _exponentials(fields.u.total_values(), fields.v.total_values(),
+                         direction)
+    return _log_series(e, f, order)
 
 
 def flow_coefficient(fields: DispersionlessFields, j: int, direction: str):
     """zeta^j coefficients (c_u, c_v) of the log generating functions,
     before the j-scaling, the i factor and the x-derivative."""
     g_u, g_v = flow_generating_series(fields, direction, j)
-    return g_u.coefficient(j), g_v.coefficient(j)
+    return g_u[j], g_v[j]
 
 
-def flow_rhs(fields: DispersionlessFields, j: int, direction: str,
-             order: int | None = None):
+def _flow_rhs_values(u, v, length: float, j: int, direction: str):
+    """Array form of flow_rhs on total field values u, v."""
+    if j < 1:
+        raise DomainError("flow index must be a positive integer")
+    e, f = _exponentials(u, v, direction)
+    # coefficient j does not depend on the truncation above j
+    g_u, g_v = _log_series(e, f, j)
+    sign_u = 1.0 if direction == "z" else -1.0
+    du = sign_u * 1j * spectral_derivative(j * g_u[j], length)
+    dv = 1j * spectral_derivative(j * g_v[j], length)
+    return du, dv
+
+
+def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
     """Right side (du/dz_j, dv/dz_j) of the j-th flow, as GridFunctions.
 
     du = s_dir * i * d/dx (j * [zeta^j] G_u),  dv = +i * d/dx (j * [zeta^j] G_v)
     with s_dir = +1 for the first family (z) and -1 for the second (zt).
     """
-    if order is None:
-        order = j
-    if order < j:
-        raise TruncationOrderError(f"truncation order {order} below flow index {j}")
-    if j < 1:
-        raise DomainError("flow index must be a positive integer")
-    g_u, g_v = flow_generating_series(fields, direction, order)
     length = fields.u.length
-    sign_u = 1.0 if direction == "z" else -1.0
-    du = sign_u * 1j * spectral_derivative(j * g_u.coefficient(j), length)
-    dv = 1j * spectral_derivative(j * g_v.coefficient(j), length)
+    du, dv = _flow_rhs_values(fields.u.total_values(), fields.v.total_values(),
+                              length, j, direction)
     return GridFunction(length, du), GridFunction(length, dv)
 
 
@@ -401,12 +326,12 @@ def recombined_flow(zeta0: complex, fields: DispersionlessFields,
     g_u, g_v = flow_generating_series(fields, direction, jmax)
     length = fields.u.length
     sign_u = 1.0 if direction == "z" else -1.0
-    acc_u = np.zeros_like(g_u.coefficient(0))
+    acc_u = np.zeros_like(g_u[0])
     acc_v = np.zeros_like(acc_u)
     z = complex(zeta0)
     for j in range(1, jmax + 1):
-        acc_u = acc_u + (z ** j) * j * g_u.coefficient(j)
-        acc_v = acc_v + (z ** j) * j * g_v.coefficient(j)
+        acc_u = acc_u + (z ** j) * j * g_u[j]
+        acc_v = acc_v + (z ** j) * j * g_v[j]
     du = sign_u * 1j * spectral_derivative(acc_u, length)
     dv = 1j * spectral_derivative(acc_v, length)
     return GridFunction(length, du), GridFunction(length, dv)
@@ -467,7 +392,8 @@ def delta_flow(zeta0: complex, fields: DispersionlessFields,
     (plus for the first family, minus for the second)."""
     if direction not in ("z", "zt"):
         raise DomainError("direction must be 'z' or 'zt'")
-    e, f = _exponentials(fields, direction)
+    e, f = _exponentials(fields.u.total_values(), fields.v.total_values(),
+                         direction)
     a = 1.0 + zeta0 * e
     s = np.sqrt(a * a - 4.0 * zeta0 * e * f)
     length = fields.u.length
@@ -671,13 +597,6 @@ def check_density_constraint(which: str = "h", samples: int = 20,
 # time evolution
 
 
-def _flow_arrays(u_vals, v_vals, length, j, direction):
-    f = DispersionlessFields(GridFunction(length, u_vals),
-                             GridFunction(length, v_vals))
-    du, dv = flow_rhs(f, j, direction)
-    return du.values, dv.values
-
-
 def evolve_dispersionless(fields: DispersionlessFields, j: int,
                           direction: str, T: float, dt: float = 1e-3,
                           catastrophe_factor: float = 10.0,
@@ -711,7 +630,8 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
 
     def rhs(state):
         u_p, v_p, pot_p, pot_slope = state
-        du, dv = _flow_arrays(u_p + su * xs, v_p + sv * xs, length, j, direction)
+        du, dv = _flow_rhs_values(u_p + su * xs, v_p + sv * xs, length, j,
+                                  direction)
         if co_evolve_potential:
             # d(varpi)/dt is the x-antiderivative of -(du/dt); its mean
             # part advances the slope, the rest the periodic part

@@ -240,36 +240,34 @@ def extract_time_derivatives(triple: TauTriple) -> FlowDerivatives:
                            dtau_zt, da_z, db_z, da_zt, db_zt)
 
 
+def _advance(triple: TauTriple, c_z, c_zt) -> TauTriple:
+    """f -> f + c_z df/dz1 + c_zt df/dzt1 for f in (sigma, rho, tau), on
+    the interior window."""
+    d = extract_time_derivatives(triple)
+    interior = triple.interior
+
+    def update(f, df_z, df_zt):
+        return {n: f[n] + c_z * df_z[n] + c_zt * df_zt[n] for n in interior}
+
+    return TauTriple(interior,
+                     update(triple.sigma, d.dsigma_z, d.dsigma_zt),
+                     update(triple.rho, d.drho_z, d.drho_zt),
+                     update(triple.tau, d.dtau_z, d.dtau_zt))
+
+
 def first_order_triple(triple: TauTriple) -> TauTriple:
     """Triple extended linearly in the first time of each direction:
     f -> f + z1 df/dz1 + zt1 df/dzt1, on the interior window."""
-    d = extract_time_derivatives(triple)
     ring = triple.ring
-    z1, zt1 = ring.variable("z1"), ring.variable("zt1")
-    interior = triple.interior
-    sig = {n: triple.sigma[n] + z1 * d.dsigma_z[n] + zt1 * d.dsigma_zt[n]
-           for n in interior}
-    rho = {n: triple.rho[n] + z1 * d.drho_z[n] + zt1 * d.drho_zt[n]
-           for n in interior}
-    tau = {n: triple.tau[n] + z1 * d.dtau_z[n] + zt1 * d.dtau_zt[n]
-           for n in interior}
-    return TauTriple(interior, sig, rho, tau)
+    return _advance(triple, ring.variable("z1"), ring.variable("zt1"))
 
 
 def euler_step(triple: TauTriple, h: float, weights=(1.0, 1.0)) -> TauTriple:
     """First-order step along weights[0]*d/dz1 + weights[1]*d/dzt1; the
     window shrinks to the interior.  Deliberately only first-order accurate:
     the constraint defect it creates is quadratic in h."""
-    d = extract_time_derivatives(triple)
     wz, wzt = weights
-    interior = triple.interior
-    sig = {n: triple.sigma[n] + (h * wz) * d.dsigma_z[n]
-           + (h * wzt) * d.dsigma_zt[n] for n in interior}
-    rho = {n: triple.rho[n] + (h * wz) * d.drho_z[n]
-           + (h * wzt) * d.drho_zt[n] for n in interior}
-    tau = {n: triple.tau[n] + (h * wz) * d.dtau_z[n]
-           + (h * wzt) * d.dtau_zt[n] for n in interior}
-    return TauTriple(interior, sig, rho, tau)
+    return _advance(triple, h * wz, h * wzt)
 
 
 def constraint_residual(triple: TauTriple) -> dict:

@@ -35,7 +35,6 @@ __all__ = [
     "rk4_step",
     "integrate",
     "conserved_quantity",
-    "plane_wave_state",
     "plane_wave_frequency",
     "export_trajectory",
     "gauge_transform",
@@ -111,10 +110,6 @@ class PlaneWaveParams:
                             float(t))
 
 
-def plane_wave_state(params: PlaneWaveParams, t: float = 0.0) -> LatticeState:
-    return params.state_at(t)
-
-
 def _rhs_arrays(a: np.ndarray, b: np.ndarray, guard: bool = True):
     factor = 1.0 - a * b
     if guard and np.any(np.abs(factor) < _SINGULAR_TOL):
@@ -147,7 +142,10 @@ def conserved_quantity(state: LatticeState) -> complex:
     factor = 1.0 - state.a * state.b
     if np.any(np.abs(factor) < _SINGULAR_TOL):
         raise SingularStateError("conserved quantity undefined on the singular locus")
-    return complex(np.sum(np.log(factor)))
+    c0 = complex(np.sum(np.log(factor)))
+    if not cmath.isfinite(c0):
+        raise SingularStateError("state left the float range")
+    return c0
 
 
 @dataclass
@@ -176,6 +174,9 @@ def integrate(state: LatticeState, steps: int, dt: float,
 
     A step that lands on (or crosses into a neighborhood of) the singular
     locus a*b = 1 aborts with SingularStateError carrying the time reached.
+    So does a state that has left the float range; it is caught at the
+    next sample, through the conserved quantity, so that unsampled steps
+    pay nothing for the check.
     """
     if steps < 0:
         raise DomainError("step count must be nonnegative")
@@ -188,12 +189,12 @@ def integrate(state: LatticeState, steps: int, dt: float,
     for k in range(1, steps + 1):
         try:
             current = rk4_step(current, dt)
+            if k % sample_every == 0 or k == steps:
+                traj.states.append(current.copy())
+                traj.conserved.append(conserved_quantity(current))
         except SingularStateError as exc:
             raise SingularStateError(
                 f"{exc} (aborted during step {k}, t = {current.time:.6g})") from None
-        if k % sample_every == 0 or k == steps:
-            traj.states.append(current.copy())
-            traj.conserved.append(conserved_quantity(current))
     return traj
 
 

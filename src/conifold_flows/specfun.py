@@ -1,4 +1,5 @@
-"""Exact Bernoulli data, generalized Bernoulli polynomials, integer polylogarithms.
+"""Exact Bernoulli data, generalized Bernoulli polynomials, integer polylogarithms,
+dense truncated power series in one variable.
 
 Branch conventions used across the whole package are fixed here once:
 
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath as mp
+import numpy as np
 
 from .errors import DomainError, PoleError
 
@@ -29,6 +31,9 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_table",
     "bernoulli_egf",
+    "dense_log",
+    "dense_mul",
+    "dense_sqrt",
     "gen_bernoulli",
     "is_mp",
     "polylog",
@@ -79,6 +84,65 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
 
 
 # ---------------------------------------------------------------------------
+# dense truncated power series in one variable
+#
+# A list c[0..n] stands for c_0 + c_1 x + ... + c_n x^n mod x^(n+1).
+
+# |c_0| below this is a branch point of the square root and the logarithm
+_BRANCH_TOL = 1e-12
+
+
+def dense_mul(a, b):
+    """Truncated product of two dense series, to the shorter length.
+
+    Coefficients may be Fractions, mpmath or complex scalars, or numpy
+    arrays (one series per grid point).  Terms with a zero coefficient of
+    ``a`` are skipped.
+    """
+    n = min(len(a), len(b))
+    out = [a[0] * 0 for _ in range(n)]
+    for i, ai in enumerate(a[:n]):
+        if (not ai.any()) if isinstance(ai, np.ndarray) else ai == 0:
+            continue
+        for j in range(n - i):
+            out[i + j] = out[i + j] + ai * b[j]
+    return out
+
+
+def dense_sqrt(c):
+    """Square root of a dense series with complex (scalar or array)
+    coefficients, on the principal branch at the constant term, which must
+    be bounded away from zero."""
+    c0 = c[0]
+    if np.any(np.abs(c0) < _BRANCH_TOL):
+        raise DomainError("square-root expansion hits a branch point")
+    s0 = np.sqrt(c0)
+    out = [s0]
+    for k in range(1, len(c)):
+        acc = c[k]
+        for i in range(1, k):
+            acc = acc - out[i] * out[k - i]
+        out.append(acc / (2.0 * s0))
+    return out
+
+
+def dense_log(c):
+    """Logarithm of a dense series with complex (scalar or array)
+    coefficients, on the principal branch at the constant term, which must
+    be bounded away from zero."""
+    c0 = c[0]
+    if np.any(np.abs(c0) < _BRANCH_TOL):
+        raise DomainError("log expansion hits a branch point")
+    out = [np.log(c0)]
+    for k in range(1, len(c)):
+        acc = c[k]
+        for i in range(1, k):
+            acc = acc - (float(k - i) / k) * c[i] * out[k - i]
+        out.append(acc / c0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # generalized Bernoulli polynomials
 # ---------------------------------------------------------------------------
 
@@ -115,24 +179,14 @@ def bernoulli_egf(z, omegas, nmax: int):
         for k in range(nmax + 1):
             factor.append(conv(bernoulli_number(k)) * w_pow * inv_fact[k])
             w_pow = w_pow * w
-        prod = _convolve(prod, factor, nmax)
+        prod = dense_mul(prod, factor)
 
     expz = []
     z_pow = one
     for k in range(nmax + 1):
         expz.append(z_pow * inv_fact[k])
         z_pow = z_pow * z
-    return _convolve(prod, expz, nmax)
-
-
-def _convolve(a, b, nmax: int):
-    out = [a[0] * 0 for _ in range(nmax + 1)]
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(nmax + 1 - i):
-            out[i + j] += ai * b[j]
-    return out
+    return dense_mul(prod, expz)
 
 
 def gen_bernoulli(r: int, n: int, z, omega: Sequence):

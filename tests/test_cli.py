@@ -155,6 +155,17 @@ def test_al_run_drift_is_folded_mod_2pii(capsys):
     assert float(rep["residuals"]["conserved_drift"]) < 1e-12
 
 
+def test_al_run_divergence_is_a_failed_check(capsys):
+    # dt = 3 is far past RK4 stability: the run overflows to NaN, which is a
+    # failed run, not an invalid input
+    code, rep = run_json(capsys, [
+        "al", "run", "--N", "8", "--dt", "3", "--steps", "20",
+        "--planewave", "A=0.9,B=0.5,mode=1"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["results"]["aborted"] is True
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_al_run_incommensurate_wavenumber(capsys):
     assert main(["al", "run", "--N", "16", "--steps", "10",
                  "--planewave", "A=0.2,B=0.1,k=2pi/7"]) == 2

@@ -17,7 +17,6 @@ from conifold_flows.lattice import (
     gauge_transform,
     integrate,
     plane_wave_frequency,
-    plane_wave_state,
     rk4_step,
 )
 
@@ -65,7 +64,7 @@ def test_plane_wave_param_guards():
         PlaneWaveParams(sites=16, mode=1, amp_a=1.0, amp_b=1.0)  # 1 - AB = 0
     with pytest.raises(DomainError):
         PlaneWaveParams(sites=1, mode=0, amp_a=0.3, amp_b=0.2)
-    state = plane_wave_state(_pw(), 0.25)
+    state = _pw().state_at(0.25)
     assert state.time == 0.25
 
 
