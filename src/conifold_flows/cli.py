@@ -34,7 +34,8 @@ _EXIT_ERROR = 2
 
 def _report(command: str, params: dict, results: dict,
             residuals: dict | None = None, tolerances: dict | None = None,
-            status: str = "pass") -> dict:
+            ok: bool = True) -> dict:
+    """The report of one command; ok says whether its checks held."""
     return {
         "schema": 1,
         "command": command,
@@ -42,7 +43,7 @@ def _report(command: str, params: dict, results: dict,
         "results": results,
         "residuals": residuals or {},
         "tolerances": tolerances or {},
-        "status": status,
+        "status": "pass" if ok else "fail",
     }
 
 
@@ -61,20 +62,18 @@ def _omega_list(text: str):
 # specfun eval
 
 
-def _cmd_specfun_eval(args) -> tuple[dict, int]:
+def _cmd_specfun_eval(args) -> dict:
     if args.bernoulli is not None:
         n = args.bernoulli
         val = specfun.bernoulli_number(n)
-        rep = _report("specfun eval", {"bernoulli": n}, {"value": val})
-        return rep, _EXIT_PASS
+        return _report("specfun eval", {"bernoulli": n}, {"value": val})
     if args.polylog is not None:
         s_txt, z_txt = args.polylog
         s = int(s_txt)
         z = parse_complex(z_txt)
         val = specfun.polylog(s, z)
-        rep = _report("specfun eval", {"polylog_order": s, "argument": z},
-                      {"value": val})
-        return rep, _EXIT_PASS
+        return _report("specfun eval", {"polylog_order": s, "argument": z},
+                       {"value": val})
     raise DomainError("specfun eval needs --bernoulli or --polylog")
 
 
@@ -82,7 +81,7 @@ def _cmd_specfun_eval(args) -> tuple[dict, int]:
 # barnes eval
 
 
-def _cmd_barnes_eval(args) -> tuple[dict, int]:
+def _cmd_barnes_eval(args) -> dict:
     fn = args.function
     if fn in ("zeta", "log-gamma"):
         omega = _omega_list(args.omega)
@@ -97,7 +96,7 @@ def _cmd_barnes_eval(args) -> tuple[dict, int]:
         else:
             val = barnes.log_multiple_gamma(ev)
             params = {"function": fn, "z": ev.z, "omega": list(ev.omega)}
-        return _report("barnes eval", params, {"value": complex(val)}), _EXIT_PASS
+        return _report("barnes eval", params, {"value": complex(val)})
     if fn == "log-sine":
         omega = _omega_list(args.omega)
         val = barnes.log_multiple_sine(parse_complex(args.z), omega,
@@ -105,7 +104,7 @@ def _cmd_barnes_eval(args) -> tuple[dict, int]:
         return _report("barnes eval",
                        {"function": fn, "z": parse_complex(args.z),
                         "omega": list(omega)},
-                       {"value": complex(val)}), _EXIT_PASS
+                       {"value": complex(val)})
     if fn == "log-h":
         omega = _omega_list(args.omega)
         if len(omega) != 2:
@@ -114,14 +113,14 @@ def _cmd_barnes_eval(args) -> tuple[dict, int]:
         val = barnes.log_h(t, omega[0], omega[1], quad_tol=args.quad_tol)
         return _report("barnes eval",
                        {"function": fn, "t": t, "omega": list(omega)},
-                       {"value": complex(val)}), _EXIT_PASS
+                       {"value": complex(val)})
     if fn == "log-g":
         t = parse_complex(args.t)
         lam = parse_complex(args.lam)
         val = barnes.log_g(t, lam, 1.0, quad_tol=args.quad_tol)
         return _report("barnes eval",
                        {"function": fn, "t": t, "lam_check": lam},
-                       {"value": complex(val)}), _EXIT_PASS
+                       {"value": complex(val)})
     raise DomainError(f"unknown barnes function {fn!r}")
 
 
@@ -129,12 +128,12 @@ def _cmd_barnes_eval(args) -> tuple[dict, int]:
 # gw
 
 
-def _cmd_gw_eval(args) -> tuple[dict, int]:
+def _cmd_gw_eval(args) -> dict:
     t = parse_complex(args.t)
     if args.genus is not None:
         val = gw.free_energy_genus(args.genus, t)
         return _report("gw eval", {"genus": args.genus, "t": t},
-                       {"value": complex(val)}), _EXIT_PASS
+                       {"value": complex(val)})
     if args.potential:
         lam = parse_complex(args.lam)
         x = parse_complex(args.x)
@@ -143,17 +142,16 @@ def _cmd_gw_eval(args) -> tuple[dict, int]:
         return _report("gw eval",
                        {"potential": True, "lam_check": lam, "t": t,
                         "x": x, "kappa": kappa},
-                       {"value": complex(val)}), _EXIT_PASS
+                       {"value": complex(val)})
     raise DomainError("gw eval needs --genus or --potential")
 
 
-def _cmd_gw_check_diff(args) -> tuple[dict, int]:
+def _cmd_gw_check_diff(args) -> dict:
     t = parse_complex(args.t)
     lam = parse_complex(args.lam)
     rep = gw.difference_equation_report(lam, t, quad_tol=args.quad_tol)
     resid = abs(rep["residual"])
-    status = "pass" if resid <= args.tol else "fail"
-    report = _report(
+    return _report(
         "gw check-diff",
         {"t": t, "lam_check": lam},
         {"second_difference": rep["second_difference"],
@@ -162,11 +160,10 @@ def _cmd_gw_check_diff(args) -> tuple[dict, int]:
          "fold_winding": rep["winding"]},
         residuals={"difference_equation": resid},
         tolerances={"difference_equation": args.tol},
-        status=status)
-    return report, _EXIT_PASS if status == "pass" else _EXIT_FAIL
+        ok=resid <= args.tol)
 
 
-def _cmd_gw_scan(args) -> tuple[dict, int]:
+def _cmd_gw_scan(args) -> dict:
     t = parse_complex(args.t)
     eps_lo, eps_hi = (float(p) for p in args.eps.split(","))
     eps_list = list(np.geomspace(eps_lo, eps_hi, args.points))
@@ -178,8 +175,7 @@ def _cmd_gw_scan(args) -> tuple[dict, int]:
                                              genus_cap=g)
         slopes[f"genus_cap_{g}"] = slope
         ok = ok and abs(slope - 2 * g) <= args.band
-    status = "pass" if ok else "fail"
-    report = _report(
+    return _report(
         "gw scan-asymptotics",
         {"t": t, "theta": args.theta, "eps_lo": eps_lo, "eps_hi": eps_hi,
          "points": args.points, "genus_caps": genus_list},
@@ -188,15 +184,14 @@ def _cmd_gw_scan(args) -> tuple[dict, int]:
         residuals={f"genus_cap_{g}": abs(slopes[f"genus_cap_{g}"] - 2 * g)
                    for g in genus_list},
         tolerances={"slope_band": args.band},
-        status=status)
-    return report, _EXIT_PASS if status == "pass" else _EXIT_FAIL
+        ok=ok)
 
 
 # ---------------------------------------------------------------------------
 # hirota check
 
 
-def _cmd_hirota_check(args) -> tuple[dict, int]:
+def _cmd_hirota_check(args) -> dict:
     rng = np.random.default_rng(args.seed)
     n = args.sites
     if n < 5:
@@ -217,15 +212,13 @@ def _cmd_hirota_check(args) -> tuple[dict, int]:
 
     claims = hirota.first_order_claim_residual(triple)
     worst = max(claims.values())
-    status = "pass" if (worst <= args.tol and vacuum_max == 0.0) else "fail"
-    report = _report(
+    return _report(
         "hirota check",
         {"seed": args.seed, "sites": n},
         {"per_equation": claims, "vacuum_identically_zero": vacuum_max == 0.0},
         residuals={"first_order_max": worst, "vacuum_max": vacuum_max},
         tolerances={"first_order_max": args.tol},
-        status=status)
-    return report, _EXIT_PASS if status == "pass" else _EXIT_FAIL
+        ok=worst <= args.tol and vacuum_max == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +260,7 @@ def _parse_planewave(text: str, n: int) -> lattice.PlaneWaveParams:
     return lattice.PlaneWaveParams(sites=n, mode=mode, amp_a=amp_a, amp_b=amp_b)
 
 
-def _cmd_al_run(args) -> tuple[dict, int]:
+def _cmd_al_run(args) -> dict:
     pw = _parse_planewave(args.planewave, args.sites)
     params = {"sites": args.sites, "dt": args.dt, "steps": args.steps,
               "mode": pw.mode, "amp_a": pw.amp_a, "amp_b": pw.amp_b}
@@ -276,10 +269,8 @@ def _cmd_al_run(args) -> tuple[dict, int]:
         traj = lattice.integrate(state, args.steps, args.dt,
                                  sample_every=max(1, args.steps // 10))
     except SingularStateError as exc:
-        report = _report("al run", params,
-                         {"aborted": True, "reason": str(exc)},
-                         status="fail")
-        return report, _EXIT_FAIL
+        return _report("al run", params,
+                       {"aborted": True, "reason": str(exc)}, ok=False)
     final = traj.states[-1]
     exact = pw.state_at(final.time)
     max_err = max(float(np.max(np.abs(final.a - exact.a))),
@@ -289,8 +280,7 @@ def _cmd_al_run(args) -> tuple[dict, int]:
         lattice.export_trajectory(traj, args.csv, args.csv + ".meta.json",
                                   {"mode": pw.mode,
                                    "amp_a": pw.amp_a, "amp_b": pw.amp_b})
-    status = "pass" if (max_err <= args.tol and drift <= args.drift_tol) else "fail"
-    report = _report(
+    return _report(
         "al run", params,
         {"final_time": final.time,
          "frequency": pw.frequency,
@@ -300,8 +290,7 @@ def _cmd_al_run(args) -> tuple[dict, int]:
                    "conserved_drift": drift},
         tolerances={"max_error_vs_analytic": args.tol,
                     "conserved_drift": args.drift_tol},
-        status=status)
-    return report, _EXIT_PASS if status == "pass" else _EXIT_FAIL
+        ok=max_err <= args.tol and drift <= args.drift_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +312,7 @@ def _initial_fields(n: int, length: float, seed: int):
     return disp.DispersionlessFields(u, v)
 
 
-def _cmd_disp_run(args) -> tuple[dict, int]:
+def _cmd_disp_run(args) -> dict:
     fields = _initial_fields(args.grid, args.length, args.seed)
     params = {"grid": args.grid, "length": args.length, "seed": args.seed,
               "flow_index": args.flow, "direction": args.direction,
@@ -332,31 +321,28 @@ def _cmd_disp_run(args) -> tuple[dict, int]:
         out = disp.evolve_dispersionless(fields, args.flow, args.direction,
                                          args.T, dt=args.dt)
     except GradientCatastropheError as exc:
-        report = _report("disp run", params,
-                         {"aborted": True, "catastrophe_time": exc.time},
-                         status="fail")
-        return report, _EXIT_FAIL
+        return _report("disp run", params,
+                       {"aborted": True, "catastrophe_time": exc.time},
+                       ok=False)
     if args.csv:
         disp.export_fields(out, args.csv, args.csv + ".meta.json",
                            {"T": args.T, "dt": args.dt})
     g0 = fields.u.derivative().max_abs()
     g1 = out.u.derivative().max_abs()
-    report = _report(
+    return _report(
         "disp run", params,
         {"final_max_u": out.u.max_abs(), "final_max_v": out.v.max_abs(),
-         "gradient_initial": g0, "gradient_final": g1},
-        status="pass")
-    return report, _EXIT_PASS
+         "gradient_initial": g0, "gradient_final": g1})
 
 
-def _cmd_disp_check(args) -> tuple[dict, int]:
+def _cmd_disp_check(args) -> dict:
     fields = _initial_fields(args.grid, args.length, args.seed)
     zeta0 = parse_complex(args.zeta)
 
-    density_h = disp.check_density_constraint("h", zeta0=zeta0, seed=args.seed)
-    density_ht = disp.check_density_constraint("ht", zeta0=zeta0, seed=args.seed)
     ham_z = disp.check_hamiltonian_form(zeta0, fields, "z")
     ham_zt = disp.check_hamiltonian_form(zeta0, fields, "zt")
+    density_h = disp.check_density_constraint("h", zeta0=zeta0, seed=args.seed)
+    density_ht = disp.check_density_constraint("ht", zeta0=zeta0, seed=args.seed)
     pid = disp.check_principal_identification(parse_complex(args.t),
                                               parse_complex(args.x))
 
@@ -373,8 +359,7 @@ def _cmd_disp_check(args) -> tuple[dict, int]:
           and residuals["density_ht"] <= args.tol
           and residuals["hamiltonian_form_z"] <= args.tol
           and residuals["hamiltonian_form_zt"] <= args.tol)
-    status = "pass" if ok else "fail"
-    report = _report(
+    return _report(
         "disp check",
         {"grid": args.grid, "length": args.length, "seed": args.seed,
          "zeta": zeta0, "t": parse_complex(args.t), "x": parse_complex(args.x)},
@@ -388,8 +373,7 @@ def _cmd_disp_check(args) -> tuple[dict, int]:
          "identification_difference_minus": pid["difference_minus_sign"]},
         residuals=residuals,
         tolerances={"density": args.tol, "hamiltonian_form": args.tol},
-        status=status)
-    return report, _EXIT_PASS if status == "pass" else _EXIT_FAIL
+        ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +486,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags already; normalize other codes
         return _EXIT_ERROR if exc.code not in (0,) else 0
     try:
-        report, code = args.handler(args)
+        report = args.handler(args)
     except (DomainError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
     _emit(report, args.out)
-    return code
+    return _EXIT_PASS if report["status"] == "pass" else _EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ __all__ = [
     "genus_coefficient",
     "free_energy_genus",
     "constant_map_contribution",
+    "classical_potential",
     "equivariant_potential",
     "check_difference_equation",
     "difference_equation_report",
@@ -95,19 +96,25 @@ def constant_map_contribution(g: int, chi):
     return complex(chi) * complex(core)
 
 
-def equivariant_potential(lam_check, t, x, kappa,
-                          quad_tol: float = barnes.DEFAULT_QUAD_TOL) -> complex:
-    """Full potential with anti-diagonal torus weights: classical piece
-    (2 pi)^3 i x^2 t / (2 kappa^2 lam_check^2) plus log_g(t | lam_check, 1).
-    """
+def classical_potential(lam_check, t, x, kappa) -> complex:
+    """Classical piece (2 pi)^3 i x^2 t / (2 kappa^2 lam_check^2) of the
+    equivariant potential."""
     kappa = complex(kappa)
     if kappa == 0:
-        raise DomainError("equivariant parameter must be nonzero")
-    lam_check = complex(lam_check)
-    classical = ((2 * math.pi) ** 3 * 1j * complex(x) ** 2 * complex(t)
-                 / (2 * kappa ** 2 * lam_check ** 2))
-    return classical + barnes.nonperturbative_potential(
-        lam_check, t, quad_tol=quad_tol)
+        raise DomainError("equivariant parameter kappa must be nonzero")
+    x = complex(x)
+    return ((2 * math.pi) ** 3 * 1j * x * x * complex(t)
+            / (2 * kappa ** 2 * complex(lam_check) ** 2))
+
+
+def equivariant_potential(lam_check, t, x, kappa,
+                          quad_tol: float = barnes.DEFAULT_QUAD_TOL) -> complex:
+    """Full potential with anti-diagonal torus weights: the classical piece
+    plus log_g(t | lam_check, 1)."""
+    # the nonperturbative part checks Re lam_check > 0 before the classical
+    # part divides by lam_check^2
+    quantum = barnes.nonperturbative_potential(lam_check, t, quad_tol=quad_tol)
+    return classical_potential(lam_check, t, x, kappa) + quantum
 
 
 def _second_difference_mp(t, lam_check, quad_tol):
@@ -192,8 +199,8 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
     slope is 0 because the genus-1 term is independent of the coupling.
     Subtraction happens at mpmath precision.
     """
-    if len(eps_list) < 2:
-        raise DomainError("need at least two ray points to fit a slope")
+    if len({abs(eps) for eps in eps_list}) < 2:
+        raise DomainError("need at least two distinct ray points eps to fit a slope")
     xs, ys = [], []
     with barnes.working_precision(quad_tol) as dps:
         t_mp = mp.mpc(t)

@@ -95,10 +95,10 @@ class TauTriple:
         return self.sites[1:-1]
 
     @classmethod
-    def from_numbers(cls, sigma, rho, tau, ring: SeriesRing | None = None,
-                     first_site: int = 0) -> "TauTriple":
-        """Wrap plain numeric per-site values as constant series."""
-        ring = ring or default_ring()
+    def from_numbers(cls, sigma, rho, tau, first_site: int = 0) -> "TauTriple":
+        """Wrap plain numeric per-site values as constant series of the
+        default ring."""
+        ring = default_ring()
         sites = range(first_site, first_site + len(tau))
         return cls(sites,
                    {n: ring.constant(sigma[i]) for i, n in enumerate(sites)},
@@ -143,7 +143,8 @@ def hirota_residual(triple: TauTriple, eq_id: str, zeta_order: int):
     if zeta_order > claim_cap:
         raise TruncationOrderError(
             f"zeta order {zeta_order} exceeds the claimable cap {claim_cap}")
-    direction = "z" if eq_id in ("a", "b", "c") else "zt"
+    # d, e, f are a, b, c in the zt direction with n - 1 and n + 1 swapped
+    direction, step = ("z", 1) if eq_id in ("a", "b", "c") else ("zt", -1)
     sig, rho, tau = triple.sigma, triple.rho, triple.tau
     Ssig = {n: miwa_shift(sig[n], direction, 1j) for n in triple.sites}
     Srho = {n: miwa_shift(rho[n], direction, 1j) for n in triple.sites}
@@ -151,24 +152,15 @@ def hirota_residual(triple: TauTriple, eq_id: str, zeta_order: int):
     zeta = ring.variable("zeta")
     out = {}
     for n in triple.interior:
-        if eq_id == "a":
-            res = (tau[n] * Stau[n] - rho[n] * Ssig[n]
-                   - tau[n - 1] * Stau[n + 1])
-        elif eq_id == "b":
+        lo, hi = n - step, n + step
+        if eq_id in ("a", "d"):
+            res = tau[n] * Stau[n] - rho[n] * Ssig[n] - tau[lo] * Stau[hi]
+        elif eq_id in ("b", "e"):
             res = (tau[n] * Ssig[n] - sig[n] * Stau[n]
-                   - zeta * (tau[n - 1] * Ssig[n + 1]))
-        elif eq_id == "c":
-            res = (rho[n] * Stau[n] - tau[n] * Srho[n]
-                   - zeta * (rho[n - 1] * Stau[n + 1]))
-        elif eq_id == "d":
-            res = (tau[n] * Stau[n] - rho[n] * Ssig[n]
-                   - tau[n + 1] * Stau[n - 1])
-        elif eq_id == "e":
-            res = (tau[n] * Ssig[n] - sig[n] * Stau[n]
-                   - zeta * (tau[n + 1] * Ssig[n - 1]))
+                   - zeta * (tau[lo] * Ssig[hi]))
         else:
             res = (rho[n] * Stau[n] - tau[n] * Srho[n]
-                   - zeta * (rho[n + 1] * Stau[n - 1]))
+                   - zeta * (rho[lo] * Stau[hi]))
         out[n] = _truncate_zeta(res, zeta_order)
     return out
 
@@ -219,25 +211,25 @@ def extract_time_derivatives(triple: TauTriple) -> FlowDerivatives:
         c_z[n + 1] = c_z[n] + 1j * (b[n] * a[n + 1])
         c_zt[n + 1] = c_zt[n] - 1j * (a[n] * b[n + 1])
 
-    dtau_z = {n: c_z[n] * triple.tau[n] for n in sites}
-    dtau_zt = {n: c_zt[n] * triple.tau[n] for n in sites}
-    dsigma_z, drho_z, dsigma_zt, drho_zt = {}, {}, {}, {}
-    da_z, db_z, da_zt, db_zt = {}, {}, {}, {}
+    z = _direction_derivatives(triple, a, b, inv_tau, c_z, 1)
+    zt = _direction_derivatives(triple, a, b, inv_tau, c_zt, -1)
+    return FlowDerivatives(*z[:3], *zt[:3], *z[3:], *zt[3:])
+
+
+def _direction_derivatives(triple, a, b, inv_tau, c, step):
+    """(dsigma, drho, dtau, da, db) along z (step 1) or zt (step -1, which
+    swaps the neighbours n - 1 and n + 1); c is the gauged log-derivative
+    of tau."""
+    sig, rho, tau = triple.sigma, triple.rho, triple.tau
+    dtau = {n: c[n] * tau[n] for n in triple.sites}
+    dsigma, drho, da, db = {}, {}, {}, {}
     for n in triple.interior:
-        dsigma_z[n] = (triple.sigma[n] * c_z[n]
-                       - 1j * (triple.tau[n - 1] * triple.sigma[n + 1] * inv_tau[n]))
-        drho_z[n] = (triple.rho[n] * c_z[n]
-                     + 1j * (triple.rho[n - 1] * triple.tau[n + 1] * inv_tau[n]))
-        dsigma_zt[n] = (triple.sigma[n] * c_zt[n]
-                        - 1j * (triple.tau[n + 1] * triple.sigma[n - 1] * inv_tau[n]))
-        drho_zt[n] = (triple.rho[n] * c_zt[n]
-                      + 1j * (triple.rho[n + 1] * triple.tau[n - 1] * inv_tau[n]))
-        da_z[n] = (dsigma_z[n] - a[n] * dtau_z[n]) * inv_tau[n]
-        db_z[n] = (drho_z[n] - b[n] * dtau_z[n]) * inv_tau[n]
-        da_zt[n] = (dsigma_zt[n] - a[n] * dtau_zt[n]) * inv_tau[n]
-        db_zt[n] = (drho_zt[n] - b[n] * dtau_zt[n]) * inv_tau[n]
-    return FlowDerivatives(dsigma_z, drho_z, dtau_z, dsigma_zt, drho_zt,
-                           dtau_zt, da_z, db_z, da_zt, db_zt)
+        lo, hi = n - step, n + step
+        dsigma[n] = sig[n] * c[n] - 1j * (tau[lo] * sig[hi] * inv_tau[n])
+        drho[n] = rho[n] * c[n] + 1j * (rho[lo] * tau[hi] * inv_tau[n])
+        da[n] = (dsigma[n] - a[n] * dtau[n]) * inv_tau[n]
+        db[n] = (drho[n] - b[n] * dtau[n]) * inv_tau[n]
+    return dsigma, drho, dtau, da, db
 
 
 def _advance(triple: TauTriple, c_z, c_zt) -> TauTriple:
@@ -262,12 +254,11 @@ def first_order_triple(triple: TauTriple) -> TauTriple:
     return _advance(triple, ring.variable("z1"), ring.variable("zt1"))
 
 
-def euler_step(triple: TauTriple, h: float, weights=(1.0, 1.0)) -> TauTriple:
-    """First-order step along weights[0]*d/dz1 + weights[1]*d/dzt1; the
-    window shrinks to the interior.  Deliberately only first-order accurate:
-    the constraint defect it creates is quadratic in h."""
-    wz, wzt = weights
-    return _advance(triple, h * wz, h * wzt)
+def euler_step(triple: TauTriple, h: float) -> TauTriple:
+    """First-order step along d/dz1 + d/dzt1; the window shrinks to the
+    interior.  Deliberately only first-order accurate: the constraint
+    defect it creates is quadratic in h."""
+    return _advance(triple, h, h)
 
 
 def constraint_residual(triple: TauTriple) -> dict:
@@ -281,8 +272,7 @@ def constraint_residual(triple: TauTriple) -> dict:
     return out
 
 
-def tau_from_lattice(a_values, b_values, ring: SeriesRing | None = None,
-                     first_site: int = 0) -> TauTriple:
+def tau_from_lattice(a_values, b_values, first_site: int = 0) -> TauTriple:
     """Build a constant tau triple matching numeric lattice data (a, b).
 
     The log of tau solves the discrete Poisson relation
@@ -304,8 +294,7 @@ def tau_from_lattice(a_values, b_values, ring: SeriesRing | None = None,
     tau = [cmath.exp(Ln) for Ln in L]
     sigma = [complex(an) * tn for an, tn in zip(a_values, tau)]
     rho = [complex(bn) * tn for bn, tn in zip(b_values, tau)]
-    return TauTriple.from_numbers(sigma, rho, tau, ring=ring,
-                                  first_site=first_site)
+    return TauTriple.from_numbers(sigma, rho, tau, first_site=first_site)
 
 
 def first_order_claim_monomials(ring: SeriesRing):

@@ -63,9 +63,6 @@ class LatticeState:
     def sites(self) -> int:
         return self.a.size
 
-    def copy(self) -> "LatticeState":
-        return LatticeState(self.a.copy(), self.b.copy(), self.time)
-
 
 def plane_wave_frequency(k: float, amp_a: complex, amp_b: complex) -> complex:
     """Dispersion relation w = 2 cos(k) (1 - A B)."""
@@ -110,9 +107,9 @@ class PlaneWaveParams:
                             float(t))
 
 
-def _rhs_arrays(a: np.ndarray, b: np.ndarray, guard: bool = True):
+def _rhs_arrays(a: np.ndarray, b: np.ndarray):
     factor = 1.0 - a * b
-    if guard and np.any(np.abs(factor) < _SINGULAR_TOL):
+    if np.any(np.abs(factor) < _SINGULAR_TOL):
         bad = int(np.argmin(np.abs(factor)))
         raise SingularStateError(
             f"state reached the singular locus a*b = 1 at site {bad}")
@@ -182,19 +179,22 @@ def integrate(state: LatticeState, steps: int, dt: float,
         raise DomainError("step count must be nonnegative")
     if sample_every < 1:
         raise DomainError("sample_every must be positive")
-    current = state.copy()
+    if not math.isfinite(dt):
+        raise DomainError(f"time step dt = {dt} must be finite")
     traj = Trajectory(dt=float(dt), sample_every=int(sample_every))
-    traj.states.append(current.copy())
-    traj.conserved.append(conserved_quantity(current))
-    for k in range(1, steps + 1):
-        try:
-            current = rk4_step(current, dt)
-            if k % sample_every == 0 or k == steps:
-                traj.states.append(current.copy())
-                traj.conserved.append(conserved_quantity(current))
-        except SingularStateError as exc:
-            raise SingularStateError(
-                f"{exc} (aborted during step {k}, t = {current.time:.6g})") from None
+    traj.states.append(state)
+    traj.conserved.append(conserved_quantity(state))
+    # overflow is reported at the next sample, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            try:
+                state = rk4_step(state, dt)
+                if k % sample_every == 0 or k == steps:
+                    traj.states.append(state)
+                    traj.conserved.append(conserved_quantity(state))
+            except SingularStateError as exc:
+                raise SingularStateError(
+                    f"{exc} (aborted during step {k}, t = {state.time:.6g})") from None
     return traj
 
 

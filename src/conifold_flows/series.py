@@ -76,15 +76,6 @@ class SeriesRing:
             raise TruncationOrderError(f"variable {name!r} exceeds its cap")
         return TruncatedSeries(self, {key: 1})
 
-    def from_terms(self, terms: Mapping[tuple[int, ...], object]) -> "TruncatedSeries":
-        kept = {}
-        for k, c in terms.items():
-            if len(k) != len(self.variables):
-                raise DomainError("exponent tuple length mismatch")
-            if self.admits(k) and not _is_zero(c):
-                kept[tuple(int(e) for e in k)] = c
-        return TruncatedSeries(self, kept)
-
     def __eq__(self, other):
         return (isinstance(other, SeriesRing)
                 and self.variables == other.variables

@@ -1,5 +1,6 @@
 """Command-line interface: report schema, determinism, exit codes."""
 import json
+import warnings
 
 import mpmath
 import pytest
@@ -158,12 +159,15 @@ def test_al_run_drift_is_folded_mod_2pii(capsys):
 def test_al_run_divergence_is_a_failed_check(capsys):
     # dt = 3 is far past RK4 stability: the run overflows to NaN, which is a
     # failed run, not an invalid input
-    code, rep = run_json(capsys, [
-        "al", "run", "--N", "8", "--dt", "3", "--steps", "20",
-        "--planewave", "A=0.9,B=0.5,mode=1"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep = run_json(capsys, [
+            "al", "run", "--N", "8", "--dt", "3", "--steps", "20",
+            "--planewave", "A=0.9,B=0.5,mode=1"])
     assert code == 1 and rep["status"] == "fail"
     assert rep["results"]["aborted"] is True
     assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_al_run_incommensurate_wavenumber(capsys):
@@ -218,6 +222,27 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(["--out", str(f1), "gw", "check-diff"]) == 0
     assert main(["--out", str(f2), "gw", "check-diff"]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["disp", "run", "--T", "inf"], "T = inf"),
+    (["disp", "run", "--dt", "nan"], "dt = nan"),
+    (["disp", "run", "--length", "nan"], "length"),
+    (["disp", "check", "--zeta", "1e200"], "zeta"),
+    (["gw", "scan-asymptotics", "--eps", "0.1,0.1", "--points", "2"], "eps"),
+    (["gw", "eval", "--potential", "--lam", "0"], "coupling"),
+    (["al", "run", "--N", "8", "--planewave", "A=0.3,B=0.2,mode=1",
+      "--dt", "nan"], "dt = nan"),
+], ids=["disp-run-T-inf", "disp-run-dt-nan", "disp-run-length-nan",
+        "disp-check-zeta-1e200", "gw-scan-equal-eps", "gw-potential-lam-0",
+        "al-run-dt-nan"])
+def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv, names):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert names in lines[0]
 
 
 def test_bad_flag_and_missing_command_exit_2(capsys):
