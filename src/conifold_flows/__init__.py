@@ -33,7 +33,6 @@ from .specfun import (
     polylog,
 )
 from .barnes import (
-    BarnesEvaluation,
     barnes_zeta,
     fold_2pii,
     log_g,
@@ -114,7 +113,6 @@ __all__ = [
     "bernoulli_table",
     "gen_bernoulli",
     "polylog",
-    "BarnesEvaluation",
     "barnes_zeta",
     "zeta_at_zero",
     "log_multiple_gamma",

@@ -27,7 +27,6 @@ import contextlib
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
@@ -36,7 +35,6 @@ from .errors import DomainError, PoleError
 from .specfun import bernoulli_egf, gen_bernoulli
 
 __all__ = [
-    "BarnesEvaluation",
     "barnes_zeta",
     "zeta_at_zero",
     "log_multiple_gamma",
@@ -45,11 +43,13 @@ __all__ = [
     "log_g",
     "log_g_highprec",
     "nonperturbative_potential",
+    "check_coupling",
     "working_precision",
     "fold_2pii",
 ]
 
 DEFAULT_QUAD_TOL = 1e-12
+_MIN_COUPLING = 1e-6
 _EXTENSION_STEP_CAP = 400
 _LAURENT_ORDER = 64
 
@@ -57,6 +57,9 @@ _PREC_LOCK = threading.RLock()
 
 
 def _dps_for(quad_tol: float) -> int:
+    if not 0 < quad_tol < math.inf:
+        raise DomainError(
+            f"quadrature tolerance {quad_tol} must be finite and positive")
     return max(25, int(round(-mp.log10(quad_tol))) + 13)
 
 
@@ -70,31 +73,23 @@ def working_precision(quad_tol: float = DEFAULT_QUAD_TOL):
         yield dps
 
 
-@dataclass(frozen=True)
-class BarnesEvaluation:
-    """Evaluation point for the rank-r multiple zeta/gamma functions."""
+def _check_periods(omega):
+    if len(omega) not in (1, 2, 3):
+        raise DomainError(f"need 1, 2 or 3 periods, got {len(omega)}")
+    if not all(mp.re(w) > 0 for w in omega):
+        raise DomainError("all periods need positive real part")
 
-    rank: int
-    z: complex
-    omega: tuple[complex, ...]
-    quad_tol: float = DEFAULT_QUAD_TOL
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(complex(w) for w in self.omega))
-        object.__setattr__(self, "z", complex(self.z))
-        if self.rank not in (1, 2, 3):
-            raise DomainError(f"rank must be 1, 2 or 3, got {self.rank}")
-        if len(self.omega) != self.rank:
-            raise DomainError(
-                f"expected {self.rank} periods, got {len(self.omega)}")
-        if any(w.real <= 0 for w in self.omega):
-            raise DomainError("all periods need positive real part")
-        if self.z.real <= 0:
-            raise DomainError(
-                "argument needs positive real part; outside this strip use "
-                "the difference-equation extension in log_h/log_g")
-        if not self.quad_tol > 0:
-            raise DomainError("quadrature tolerance must be positive")
+def _continuation_point(z, omega):
+    """(z, omega) as complex numbers, checked for the split integral."""
+    omega = tuple(complex(w) for w in omega)
+    _check_periods(omega)
+    z = complex(z)
+    if not z.real > 0:
+        raise DomainError(
+            "argument needs positive real part; outside this strip use "
+            "the difference-equation extension in log_h/log_g")
+    return z, omega
 
 
 @functools.lru_cache(maxsize=512)
@@ -204,17 +199,19 @@ def _log_gamma_cached(z, omegas, quad_tol: float):
     return _SplitIntegral(z, omegas, quad_tol).log_gamma()
 
 
-def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
-    """Analytically continued zeta_r(s, z | omega).
+def barnes_zeta(s, z, omega: Sequence[complex],
+                quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
+    """Analytically continued zeta_r(s, z | omega), r = len(omega).
 
     Raises PoleError at the simple poles s = 1..r.
     """
-    with working_precision(ev.quad_tol):
+    z, omega = _continuation_point(z, omega)
+    with working_precision(quad_tol):
         s_mp = mp.mpc(s)
-        for k in range(1, ev.rank + 1):
+        for k in range(1, len(omega) + 1):
             if abs(s_mp - k) < 1e-12:
-                raise PoleError(f"zeta_{ev.rank} has a pole at s = {k}")
-        core = _SplitIntegral(ev.z, ev.omega, ev.quad_tol)
+                raise PoleError(f"zeta_{len(omega)} has a pole at s = {k}")
+        core = _SplitIntegral(z, omega, quad_tol)
         if abs(mp.im(s_mp)) < 1e-12 and abs(s_mp - mp.nint(mp.re(s_mp))) < 1e-12 \
                 and mp.re(s_mp) <= 0.5:
             m = int(mp.nint(-mp.re(s_mp)))
@@ -222,18 +219,21 @@ def barnes_zeta(s, ev: BarnesEvaluation) -> complex:
         return complex(core.zeta(s_mp))
 
 
-def zeta_at_zero(ev: BarnesEvaluation) -> complex:
+def zeta_at_zero(z, omega: Sequence[complex],
+                 quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """zeta_r(0, z | omega) = (-1)^r B_{r,r}(z|omega) / r!."""
-    with working_precision(ev.quad_tol):
-        core = _SplitIntegral(ev.z, ev.omega, ev.quad_tol)
-        return complex(core.zeta_nonpos_int(0))
+    z, omega = _continuation_point(z, omega)
+    with working_precision(quad_tol):
+        return complex(_SplitIntegral(z, omega, quad_tol).zeta_nonpos_int(0))
 
 
-def log_multiple_gamma(ev: BarnesEvaluation) -> complex:
+def log_multiple_gamma(z, omega: Sequence[complex],
+                       quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """log Gamma_r(z | omega) := d/ds zeta_r(s, z | omega) at s = 0."""
-    with working_precision(ev.quad_tol):
-        return complex(_log_gamma_cached(mp.mpc(ev.z), tuple(mp.mpc(w) for w in ev.omega),
-                                         ev.quad_tol))
+    z, omega = _continuation_point(z, omega)
+    with working_precision(quad_tol):
+        return complex(_log_gamma_cached(mp.mpc(z), tuple(mp.mpc(w) for w in omega),
+                                         quad_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +266,7 @@ def log_multiple_sine(z, omega: Sequence[complex],
     and the rank-2/3 kernels below satisfy their exact difference equations.
     """
     omega = tuple(complex(w) for w in omega)
-    if len(omega) not in (1, 2, 3):
-        raise DomainError("rank must be 1, 2 or 3")
-    if any(w.real <= 0 for w in omega):
-        raise DomainError("all periods need positive real part")
+    _check_periods(omega)
     with working_precision(quad_tol):
         return complex(_log_sine_mp(z, omega, quad_tol))
 
@@ -284,44 +281,48 @@ def _log1mexp(w):
     return mp.log(1 - mp.exp(w))
 
 
-def _h_step(t, w2):
-    """log of the factor (1 - exp(2 pi i t / w2))^{-1} picked up per +w1 shift."""
-    return -_log1mexp(2 * mp.pi * mp.mpc(0, 1) * t / w2)
+def _direct_kernel(z, om, quad_tol: float):
+    """(-1)^(r+1) (pi i / r!) B_{r,r}(z|om) + log sin_r(z|om): log H at r = 2
+    and log G (z = t + w1, om = (w1, w1, w2)) at r = 3, inside the strip."""
+    r = len(om)
+    pref = (-1) ** (r + 1) * mp.pi * mp.mpc(0, 1) / math.factorial(r) \
+        * gen_bernoulli(r, r, z, om)
+    return pref + _log_sine_mp(z, om, quad_tol)
 
 
-def _pick_shift(t, w1, w2):
-    """Integer k with t + k*w1 inside the direct strip of width Re(w1 + w2)."""
+def _walk(t, w1, w2, offset, direct, step):
+    """A kernel at t from direct(t + k w1 + offset), where t + k w1 + offset
+    lies in the strip 0 < Re < Re(w1 + w2), and the one-step increment
+    step(s) = value(s + w1) - value(s):
+
+        value(t) = value(t + k w1) - sum_{j=0}^{k-1} step(t + j w1)     (k > 0)
+        value(t) = value(t - |k| w1) + sum_{j=1}^{|k|} step(t - j w1)   (k < 0)
+    """
     width = mp.re(w1) + mp.re(w2)
-    k0 = int(mp.nint((width / 2 - mp.re(t)) / mp.re(w1)))
-    for k in (k0, k0 + 1, k0 - 1, k0 + 2, k0 - 2):
-        re_new = mp.re(t) + k * mp.re(w1)
-        if 0 < re_new < width - mp.mpf("1e-12"):
-            if abs(k) > _EXTENSION_STEP_CAP:
-                raise DomainError("difference-equation extension needs more "
-                                  f"than {_EXTENSION_STEP_CAP} steps")
-            return k
-    raise DomainError("could not place the argument inside the direct strip")
+    re_z = mp.re(t + offset)
+    k = 0
+    if not 0 < re_z < width:
+        shift = mp.nint((width / 2 - re_z) / mp.re(w1))
+        if not abs(shift) <= _EXTENSION_STEP_CAP:
+            raise DomainError("difference-equation extension needs more "
+                              f"than {_EXTENSION_STEP_CAP} steps")
+        k = int(shift)
+        if not 0 < re_z + k * mp.re(w1) < width - mp.mpf("1e-12"):
+            raise DomainError("could not place the argument inside the direct strip")
+    corr = mp.mpc(0)
+    for j in range(k):
+        corr -= step(t + j * w1)
+    for j in range(1, -k + 1):
+        corr += step(t - j * w1)
+    return direct(t + k * w1 + offset) + corr
 
 
 def _log_h_mp(t, w1, w2, quad_tol: float):
-    t = mp.mpc(t)
     w1, w2 = mp.mpc(w1), mp.mpc(w2)
-    width = mp.re(w1) + mp.re(w2)
-    if mp.mpf(0) < mp.re(t) < width:
-        pref = -mp.pi * mp.mpc(0, 1) / 2 * gen_bernoulli(2, 2, t, (w1, w2))
-        return pref + _log_sine_mp(t, (w1, w2), quad_tol)
-    k = _pick_shift(t, w1, w2)
-    base = _log_h_mp(t + k * w1, w1, w2, quad_tol)
-    # H(t + w1) = H(t) * (1 - x2(t))^{-1} with x2 = exp(2 pi i t / w2)
-    corr = mp.mpc(0)
-    if k > 0:
-        for j in range(k):
-            corr -= _h_step(t + j * w1, w2)
-    else:
-        # stepping down from t: H(t) = H(t - w1) * (1 - x2(t - w1))^{-1}
-        for j in range(1, -k + 1):
-            corr += _h_step(t - j * w1, w2)
-    return base + corr
+    # H(t + w1) = H(t) * (1 - exp(2 pi i t / w2))^{-1}
+    return _walk(mp.mpc(t), w1, w2, 0,
+                 lambda z: _direct_kernel(z, (w1, w2), quad_tol),
+                 lambda s: -_log1mexp(2 * mp.pi * mp.mpc(0, 1) * s / w2))
 
 
 def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -332,35 +333,9 @@ def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     strip 0 < Re t < Re(w1 + w2).
     """
     w1, w2 = complex(omega1), complex(omega2)
-    if w1.real <= 0 or w2.real <= 0:
-        raise DomainError("periods need positive real part")
+    _check_periods((w1, w2))
     with working_precision(quad_tol):
         return complex(_log_h_mp(t, w1, w2, quad_tol))
-
-
-def _log_g_direct_mp(t, w1, w2, quad_tol):
-    z = mp.mpc(t) + w1
-    om = (w1, w1, w2)
-    pref = mp.pi * mp.mpc(0, 1) / 6 * gen_bernoulli(3, 3, z, om)
-    return pref + _log_sine_mp(z, om, quad_tol)
-
-
-def _log_g_mp(t, w1, w2, quad_tol: float):
-    t = mp.mpc(t)
-    w1, w2 = mp.mpc(w1), mp.mpc(w2)
-    # direct strip for the shifted argument: -Re w1 < Re t < Re(w1 + w2) - Re w1
-    if -mp.re(w1) < mp.re(t) < mp.re(w2):
-        return _log_g_direct_mp(t, w1, w2, quad_tol)
-    k = _pick_shift(t + w1, w1, w2)
-    acc = mp.mpc(0)
-    # G(t + w1) = G(t) / H(t + w1 | w1, w2)
-    if k > 0:
-        for j in range(1, k + 1):
-            acc += _log_h_mp(t + j * w1, w1, w2, quad_tol)
-    else:
-        for j in range(0, -k):
-            acc -= _log_h_mp(t - j * w1, w1, w2, quad_tol)
-    return _log_g_mp(t + k * w1, w1, w2, quad_tol) + acc
 
 
 def log_g(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -383,22 +358,36 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
     """
     with working_precision(quad_tol):
         w1, w2 = mp.mpc(omega1), mp.mpc(omega2)
-        if not (mp.re(w1) > 0 and mp.re(w2) > 0):
-            raise DomainError("periods need positive real part")
-        return _log_g_mp(t, w1, w2, quad_tol)
+        _check_periods((w1, w2))
+        # G(t + w1) = G(t) / H(t + w1 | w1, w2)
+        return _walk(mp.mpc(t), w1, w2, w1,
+                     lambda z: _direct_kernel(z, (w1, w1, w2), quad_tol),
+                     lambda s: -_log_h_mp(s + w1, w1, w2, quad_tol))
+
+
+def check_coupling(lam_check) -> None:
+    """Reject a reduced coupling outside the domain of the G kernel: it needs
+    Re(lam_check) > 0 and |lam_check| >= 1e-6.  log G grows like
+    |lam_check|^-2 and its second difference loses the digits of that growth:
+    at 1e-6 the residual still stays under the default quadrature tolerance,
+    and near 1e-9 the quadrature itself fails."""
+    lam_check = complex(lam_check)
+    if not lam_check.real > 0:
+        raise DomainError("reduced coupling needs positive real part")
+    if abs(lam_check) < _MIN_COUPLING:
+        raise DomainError(f"reduced coupling |lam_check| = {abs(lam_check):.3g} "
+                          f"is below the smallest supported {_MIN_COUPLING:g}")
 
 
 def nonperturbative_potential(lam_check, t,
                               quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """log G(t | lam_check, 1): the all-order potential in the reduced string
-    coupling lam_check = lambda / (2 pi).  Requires Re(lam_check) > 0; the
+    coupling lam_check = lambda / (2 pi), which check_coupling admits; the
     fugacity exp(2 pi i t) should satisfy |q| < 1 (Im t > 0) for the
     asymptotic genus expansion to apply.
     """
-    lam_check = complex(lam_check)
-    if lam_check.real <= 0:
-        raise DomainError("reduced coupling needs positive real part")
-    return log_g(t, lam_check, 1.0, quad_tol)
+    check_coupling(lam_check)
+    return log_g(t, complex(lam_check), 1.0, quad_tol)
 
 
 def fold_2pii(value):

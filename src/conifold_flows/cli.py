@@ -83,28 +83,19 @@ def _cmd_specfun_eval(args) -> dict:
 
 def _cmd_barnes_eval(args) -> dict:
     fn = args.function
-    if fn in ("zeta", "log-gamma"):
-        omega = _omega_list(args.omega)
-        ev = barnes.BarnesEvaluation(len(omega), parse_complex(args.z), omega,
-                                     quad_tol=args.quad_tol)
+    if fn in ("zeta", "log-gamma", "log-sine"):
+        z, omega = parse_complex(args.z), _omega_list(args.omega)
+        params = {"function": fn, "z": z, "omega": list(omega)}
         if fn == "zeta":
             if args.s is None:
                 raise DomainError("barnes eval --function zeta needs --s")
-            val = barnes.barnes_zeta(parse_complex(args.s), ev)
-            params = {"function": fn, "s": parse_complex(args.s),
-                      "z": ev.z, "omega": list(ev.omega)}
+            params["s"] = parse_complex(args.s)
+            val = barnes.barnes_zeta(params["s"], z, omega, args.quad_tol)
+        elif fn == "log-gamma":
+            val = barnes.log_multiple_gamma(z, omega, args.quad_tol)
         else:
-            val = barnes.log_multiple_gamma(ev)
-            params = {"function": fn, "z": ev.z, "omega": list(ev.omega)}
+            val = barnes.log_multiple_sine(z, omega, args.quad_tol)
         return _report("barnes eval", params, {"value": complex(val)})
-    if fn == "log-sine":
-        omega = _omega_list(args.omega)
-        val = barnes.log_multiple_sine(parse_complex(args.z), omega,
-                                       quad_tol=args.quad_tol)
-        return _report("barnes eval",
-                       {"function": fn, "z": parse_complex(args.z),
-                        "omega": list(omega)},
-                       {"value": complex(val)})
     if fn == "log-h":
         omega = _omega_list(args.omega)
         if len(omega) != 2:
@@ -478,8 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# argparse takes a value such as -0.3+0.4i for an option name; main gives
+# these a leading space, which parse_complex, int() and float() strip
+_NEGATIVE_VALUE = re.compile(r"-[\d.]|-i$")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = [" " + a if _NEGATIVE_VALUE.match(a) else a
+            for a in (sys.argv[1:] if argv is None else argv)]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -37,6 +37,8 @@ from .reporting import fmt_float, write_csv, write_json
 from .specfun import dense_log, dense_sqrt, polylog
 
 __all__ = [
+    "spectral_derivative",
+    "spectral_antiderivative",
     "GridFunction",
     "DispersionlessFields",
     "PotentialField",
@@ -52,6 +54,7 @@ __all__ = [
     "evolve_dispersionless",
     "check_xdif",
     "check_principal_identification",
+    "classical_varpi",
     "u_from_r",
     "export_fields",
 ]
@@ -216,10 +219,6 @@ class PotentialField:
         p2 = spectral_derivative(
             spectral_derivative(self.periodic, self.length), self.length)
         return GridFunction(self.length, -2.0 * self.quad - p2)
-
-    def copy(self) -> "PotentialField":
-        return PotentialField(self.length, self.periodic.copy(),
-                              self.slope, self.quad)
 
 
 # ---------------------------------------------------------------------------
@@ -607,49 +606,44 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
     xs = fields.u.nodes
 
     def rhs(state):
-        u_p, v_p, pot_p, pot_slope = state
-        du, dv = _flow_rhs_values(u_p + su * xs, v_p + sv * xs, length, j,
-                                  direction)
-        if co_evolve_potential:
-            # d(varpi)/dt is the x-antiderivative of -(du/dt); its mean
-            # part advances the slope, the rest the periodic part
-            g = 1j * np.exp(v_p + sv * xs) * (1.0 - np.exp(-(u_p + su * xs)))
-            g = -g  # antiderivative integrand fixed so that -d2/dx2 gives du
-            mu = np.mean(g)
-            dpot = spectral_antiderivative(g - mu, length)
-            return du, dv, dpot, mu
-        return du, dv, np.zeros(1), 0.0
+        u, v = state[0] + su * xs, state[1] + sv * xs
+        du, dv = _flow_rhs_values(u, v, length, j, direction)
+        if not co_evolve_potential:
+            return du, dv
+        # d(varpi)/dt is the x-antiderivative of -(du/dt); its mean part
+        # advances the slope, the rest the periodic part
+        g = 1j * np.exp(v) * (1.0 - np.exp(-u))
+        g = -g  # antiderivative integrand fixed so that -d2/dx2 gives du
+        mu = np.mean(g)
+        dpot = spectral_antiderivative(g - mu, length)
+        return du, dv, dpot, mu
 
-    u_p = fields.u.values.copy()
-    v_p = fields.v.values.copy()
-    pot = fields.varpi.copy() if fields.varpi is not None else None
-    pot_p = pot.periodic.copy() if pot is not None else np.zeros(1)
-    pot_s = pot.slope if pot is not None else 0.0
+    state = (fields.u.values, fields.v.values)
+    if co_evolve_potential:
+        state += (fields.varpi.periodic, fields.varpi.slope)
 
-    gradient0 = float(np.max(np.abs(spectral_derivative(u_p, length) + su)))
+    gradient0 = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
     steps = int(round(T / dt))
     t = 0.0
     for _ in range(steps):
-        s0 = (u_p, v_p, pot_p, pot_s)
-        k1 = rhs(s0)
-        k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(s0, k1)))
-        k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(s0, k2)))
-        k4 = rhs(tuple(a + dt * b for a, b in zip(s0, k3)))
-        u_p, v_p, pot_p, pot_s = tuple(
-            a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(s0, k1, k2, k3, k4))
+        k1 = rhs(state)
+        k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(state, k1)))
+        k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(state, k2)))
+        k4 = rhs(tuple(a + dt * b for a, b in zip(state, k3)))
+        state = tuple(a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4))
         t += dt
-        gnow = float(np.max(np.abs(spectral_derivative(u_p, length) + su)))
+        gnow = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
         if not math.isfinite(gnow) or gnow > catastrophe_factor * max(gradient0, 1e-300):
             raise GradientCatastropheError(
                 f"gradient growth {gnow:.3g} vs initial {gradient0:.3g}", time=t)
 
-    out_pot = None
-    if pot is not None:
-        out_pot = PotentialField(length, pot_p, pot_s, pot.quad)
-    return DispersionlessFields(GridFunction(length, u_p, su),
-                                GridFunction(length, v_p, sv),
-                                varpi=out_pot)
+    varpi = fields.varpi
+    if co_evolve_potential:
+        varpi = PotentialField(length, state[2], state[3], varpi.quad)
+    return DispersionlessFields(GridFunction(length, state[0], su),
+                                GridFunction(length, state[1], sv),
+                                varpi=varpi)
 
 
 # ---------------------------------------------------------------------------

@@ -111,17 +111,16 @@ def equivariant_potential(lam_check, t, x, kappa,
                           quad_tol: float = barnes.DEFAULT_QUAD_TOL) -> complex:
     """Full potential with anti-diagonal torus weights: the classical piece
     plus log_g(t | lam_check, 1)."""
-    # the nonperturbative part checks Re lam_check > 0 before the classical
-    # part divides by lam_check^2
+    # the nonperturbative part checks the coupling before the classical part
+    # divides by lam_check^2
     quantum = barnes.nonperturbative_potential(lam_check, t, quad_tol=quad_tol)
     return classical_potential(lam_check, t, x, kappa) + quantum
 
 
 def _second_difference_mp(t, lam_check, quad_tol):
     """Second difference of log_g, both right sides, folded residual, winding."""
+    barnes.check_coupling(lam_check)
     lam_check = complex(lam_check)
-    if lam_check.real <= 0:
-        raise DomainError("reduced coupling needs positive real part")
     with barnes.working_precision(quad_tol):
         t, lam = mp.mpc(t), mp.mpc(lam_check)
         up, mid, dn = (barnes.log_g_highprec(arg, lam_check, 1, quad_tol)
@@ -215,6 +214,7 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
         phase = mp.exp(1j * mp.mpf(theta))
         for eps in eps_list:
             lam_check = mp.mpf(repr(float(eps))) * phase
+            barnes.check_coupling(lam_check)
             lam = 2 * mp.pi * lam_check
             total = barnes.log_g_highprec(t_mp, lam_check, 1, quad_tol)
             for g, fg in enumerate(genus_values):

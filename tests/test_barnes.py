@@ -15,7 +15,6 @@ import pytest
 
 from conifold_flows import DomainError
 from conifold_flows.barnes import (
-    BarnesEvaluation,
     barnes_zeta,
     fold_2pii,
     log_g,
@@ -38,21 +37,21 @@ def test_hurwitz_reduction(s):
     # zeta_1(s, z | w) = w^(-s) * zeta_H(s, z/w)
     for z, w in [(0.65, 1.0), (1.3 + 0.4j, 1.0), (0.8, 1.7), (0.5 + 0.1j, 0.9),
                  (0.7, 4.0), (2.5, 3.0)]:
-        got = barnes_zeta(s, BarnesEvaluation(1, z, (w,)))
+        got = barnes_zeta(s, z, (w,))
         want = complex(mp.zeta(s, complex(z) / w) * mp.mpc(w) ** (-s))
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_gamma1_normalization():
     for z in (0.3, 1.7, 2.5):
-        got = log_multiple_gamma(BarnesEvaluation(1, z, (1.0,)))
+        got = log_multiple_gamma(z, (1.0,))
         want = complex(mp.loggamma(z) - mp.log(2 * mp.pi) / 2)
         assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_zeta_at_zero_rank1_hurwitz():
     for z in (0.4, 1.2 + 0.3j):
-        got = zeta_at_zero(BarnesEvaluation(1, z, (1.0,)))
+        got = zeta_at_zero(z, (1.0,))
         assert abs(got - (0.5 - complex(z))) < 1e-11
 
 
@@ -71,12 +70,12 @@ def test_shift_identity_random_draws():
             continue  # stay away from the poles of zeta_r
         z = 0.6 + rng.random() + 0.4j * (rng.random() - 0.5)
         omega = tuple(0.7 + rng.random(r) + 0.2j * (rng.random(r) - 0.5))
-        lhs = (barnes_zeta(s, BarnesEvaluation(r, z + omega[-1], omega))
-               - barnes_zeta(s, BarnesEvaluation(r, z, omega)))
+        lhs = (barnes_zeta(s, z + omega[-1], omega)
+               - barnes_zeta(s, z, omega))
         if r == 2:
-            rhs = -barnes_zeta(s, BarnesEvaluation(1, z, omega[:1]))
+            rhs = -barnes_zeta(s, z, omega[:1])
         else:
-            rhs = -barnes_zeta(s, BarnesEvaluation(2, z, omega[:2]))
+            rhs = -barnes_zeta(s, z, omega[:2])
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs)), (r, s, z, omega)
         draws += 1
 
@@ -86,8 +85,8 @@ def test_homogeneity():
     s, z = 1.6, 0.9 + 0.2j
     omega = (1.0, 1.4)
     c = 1.7
-    a = barnes_zeta(s, BarnesEvaluation(2, c * z, tuple(c * w for w in omega)))
-    b = barnes_zeta(s, BarnesEvaluation(2, z, omega)) * c ** (-s)
+    a = barnes_zeta(s, c * z, tuple(c * w for w in omega))
+    b = barnes_zeta(s, z, omega) * c ** (-s)
     assert abs(a - b) < 1e-10
 
 
@@ -95,7 +94,7 @@ def test_zeta_at_zero_bernoulli_formula():
     # zeta_r(0, z|w) = (-1)^r B_{r,r}(z|w) / r!
     z = Fraction(3, 4)
     omega = (1, Fraction(3, 2))
-    got = zeta_at_zero(BarnesEvaluation(2, float(z), tuple(float(w) for w in omega)))
+    got = zeta_at_zero(float(z), tuple(float(w) for w in omega))
     want = complex(gen_bernoulli(2, 2, z, omega)) / 2
     assert abs(got - want) < 1e-10
 
@@ -105,13 +104,13 @@ def test_log_gamma_is_s_derivative_at_zero():
     for rank, z, omega in [(1, 0.8, (1.0,)), (2, 1.1 + 0.2j, (1.0, 1.3)),
                            (3, 1.4, (1.0, 1.1, 0.8))]:
         def deriv(h):
-            up = barnes_zeta(h, BarnesEvaluation(rank, z, omega))
-            dn = barnes_zeta(-h, BarnesEvaluation(rank, z, omega))
+            up = barnes_zeta(h, z, omega)
+            dn = barnes_zeta(-h, z, omega)
             return (up - dn) / (2 * h)
 
         d1, d2 = deriv(1e-3), deriv(5e-4)
         fd = (4 * d2 - d1) / 3
-        got = log_multiple_gamma(BarnesEvaluation(rank, z, omega))
+        got = log_multiple_gamma(z, omega)
         assert abs(got - fd) < 5e-8, (rank, abs(got - fd))
 
 
@@ -201,11 +200,9 @@ def test_nonperturbative_potential_is_log_g():
 
 def test_domain_guards():
     with pytest.raises(DomainError):
-        BarnesEvaluation(2, 0.5, (1.0,))  # rank/period count mismatch
+        log_multiple_gamma(-0.5, (1.0,))  # continuation needs Re z > 0
     with pytest.raises(DomainError):
-        BarnesEvaluation(1, -0.5, (1.0,))  # continuation needs Re z > 0
-    with pytest.raises(DomainError):
-        BarnesEvaluation(1, 0.5, (-1.0,))
+        log_multiple_gamma(0.5, (-1.0,))
     with pytest.raises(DomainError):
         log_multiple_sine(0.5, (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
@@ -215,13 +212,13 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         nonperturbative_potential(-0.1, 0.3 + 0.4j)
     with pytest.raises(DomainError):
-        barnes_zeta(0.5, BarnesEvaluation(1, 0.7, (5.0,)))  # series too slow
+        barnes_zeta(0.5, 0.7, (5.0,))  # series too slow
     with pytest.raises(DomainError):
-        barnes_zeta(-26.5, BarnesEvaluation(1, 0.7, (1.0,)))  # 1/Gamma(s) ~ 1e27
+        barnes_zeta(-26.5, 0.7, (1.0,))  # 1/Gamma(s) ~ 1e27
     with pytest.raises(DomainError):
-        barnes_zeta(0.5 + 40j, BarnesEvaluation(1, 0.7, (1.0,)))  # 1/Gamma(s) ~ 1e27
+        barnes_zeta(0.5 + 40j, 0.7, (1.0,))  # 1/Gamma(s) ~ 1e27
     with pytest.raises(DomainError):
-        barnes_zeta(0.5 + 15j, BarnesEvaluation(1, 0.7, (1.0,)))  # cut at T
+        barnes_zeta(0.5 + 15j, 0.7, (1.0,))  # cut at T
 
 
 def test_fold_2pii():
@@ -236,16 +233,16 @@ def test_fold_2pii():
 def test_barnes_zeta_pole_protection():
     # s at a pole of zeta_2 must raise rather than return garbage
     with pytest.raises(DomainError):
-        barnes_zeta(2, BarnesEvaluation(2, 0.8, (1.0, 1.1)))
+        barnes_zeta(2, 0.8, (1.0, 1.1))
 
 
 def test_barnes_zeta_nonpositive_integer_limit():
     # zeta_r(-m) reads the Laurent coefficient a_{r+m}; m = 64 - r is the
     # last one stored, past it the evaluation is a DomainError
-    got = barnes_zeta(-63, BarnesEvaluation(1, 0.7, (1.0,)))
+    got = barnes_zeta(-63, 0.7, (1.0,))
     want = complex(mp.zeta(-63, 0.7))
     assert abs(got - want) <= 1e-10 * abs(want)
     with pytest.raises(DomainError, match="m <= 63"):
-        barnes_zeta(-64, BarnesEvaluation(1, 0.7, (1.0,)))
+        barnes_zeta(-64, 0.7, (1.0,))
     with pytest.raises(DomainError, match="m <= 61"):
-        barnes_zeta(-62, BarnesEvaluation(3, 0.7, (1.0, 1.0, 1.0)))
+        barnes_zeta(-62, 0.7, (1.0, 1.0, 1.0))

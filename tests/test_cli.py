@@ -39,6 +39,18 @@ def test_polylog_eval(capsys):
     assert abs(parse_complex(rep["results"]["value"]) - want) < 1e-13
 
 
+def test_values_with_a_negative_real_part(capsys):
+    code, rep = run_json(capsys, ["specfun", "eval", "--polylog", "2",
+                                  "-0.5+0.1i"])
+    assert code == 0
+    want = complex(mpmath.polylog(2, -0.5 + 0.1j))
+    assert abs(parse_complex(rep["results"]["value"]) - want) < 1e-13
+    code, rep = run_json(capsys, ["gw", "eval", "--genus", "2",
+                                  "--t", "-0.3+0.4i"])
+    assert code == 0
+    assert parse_complex(rep["params"]["t"]) == -0.3 + 0.4j
+
+
 def test_specfun_needs_a_request(capsys):
     assert main(["specfun", "eval"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -231,11 +243,20 @@ def test_reports_are_byte_identical(tmp_path):
     (["disp", "check", "--zeta", "1e200"], "zeta"),
     (["gw", "scan-asymptotics", "--eps", "0.1,0.1", "--points", "2"], "eps"),
     (["gw", "eval", "--potential", "--lam", "0"], "coupling"),
+    (["gw", "eval", "--potential", "--lam", "1e-200"], "coupling"),
     (["al", "run", "--N", "8", "--planewave", "A=0.3,B=0.2,mode=1",
       "--dt", "nan"], "dt = nan"),
+    (["barnes", "eval", "--function", "log-h", "--omega", "0.2,1",
+      "--quad-tol", "-1"], "tolerance"),
+    (["barnes", "eval", "--function", "log-g", "--quad-tol", "0"], "tolerance"),
+    (["barnes", "eval", "--function", "log-sine", "--quad-tol", "nan"],
+     "tolerance"),
+    (["gw", "check-diff", "--quad-tol", "inf"], "tolerance"),
 ], ids=["disp-run-T-inf", "disp-run-dt-nan", "disp-run-length-nan",
         "disp-check-zeta-1e200", "gw-scan-equal-eps", "gw-potential-lam-0",
-        "al-run-dt-nan"])
+        "gw-potential-lam-1e-200", "al-run-dt-nan", "barnes-log-h-quad-tol-neg",
+        "barnes-log-g-quad-tol-0", "barnes-log-sine-quad-tol-nan",
+        "gw-check-diff-quad-tol-inf"])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv, names):
     assert main(argv) == 2
     captured = capsys.readouterr()

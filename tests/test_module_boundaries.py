@@ -1,9 +1,13 @@
-"""Module boundaries: no module of the package reads a sibling's private names.
+"""Module boundaries: no module of the package reads a sibling's private
+names, and each module's ``__all__`` lists exactly its public definitions.
 
 A module may use its own ``_name``s freely; another module that needs one
-should get a public name instead.  The check is static, on the source.
+should get a public name instead.  The private-name check is static, on the
+source.
 """
 import ast
+import importlib
+import inspect
 import pathlib
 
 import conifold_flows
@@ -69,3 +73,29 @@ def test_no_module_reads_a_sibling_private_name():
     assert len(modules) > 5
     found = {p.name: reach_ins(p.read_text()) for p in modules}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _modules_with_all():
+    modules = [importlib.import_module(f"conifold_flows.{p.stem}")
+               for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    return [m for m in modules if hasattr(m, "__all__")]
+
+
+def test_all_lists_exactly_the_public_definitions():
+    modules = _modules_with_all()
+    assert len(modules) > 5
+    for module in modules:
+        unresolved = [n for n in module.__all__ if not hasattr(module, n)]
+        defined = {name for name, obj in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__}
+        assert unresolved == [], module.__name__
+        assert defined - set(module.__all__) == set(), module.__name__
+
+
+def test_package_reexports_only_listed_names():
+    listed = {n for m in _modules_with_all() for n in m.__all__}
+    exported = set(conifold_flows.__all__) - {"__version__"}
+    assert exported - listed == set()
+    assert all(hasattr(conifold_flows, n) for n in conifold_flows.__all__)
