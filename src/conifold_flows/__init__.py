@@ -26,9 +26,7 @@ from .errors import (
     TruncationOrderError,
 )
 from .specfun import (
-    BernoulliTable,
     bernoulli_number,
-    bernoulli_table,
     gen_bernoulli,
     polylog,
 )
@@ -108,9 +106,7 @@ __all__ = [
     "SingularStateError",
     "GradientCatastropheError",
     "TruncationOrderError",
-    "BernoulliTable",
     "bernoulli_number",
-    "bernoulli_table",
     "gen_bernoulli",
     "polylog",
     "barnes_zeta",

@@ -108,7 +108,7 @@ def _cmd_barnes_eval(args) -> dict:
     if fn == "log-g":
         t = parse_complex(args.t)
         lam = parse_complex(args.lam)
-        val = barnes.log_g(t, lam, 1.0, quad_tol=args.quad_tol)
+        val = barnes.nonperturbative_potential(lam, t, args.quad_tol)
         return _report("barnes eval",
                        {"function": fn, "t": t, "lam_check": lam},
                        {"value": complex(val)})
@@ -332,8 +332,8 @@ def _cmd_disp_check(args) -> dict:
 
     ham_z = disp.check_hamiltonian_form(zeta0, fields, "z")
     ham_zt = disp.check_hamiltonian_form(zeta0, fields, "zt")
-    density_h = disp.check_density_constraint("h", zeta0=zeta0, seed=args.seed)
-    density_ht = disp.check_density_constraint("ht", zeta0=zeta0, seed=args.seed)
+    density_h = disp.check_density_constraint("z", zeta0=zeta0, seed=args.seed)
+    density_ht = disp.check_density_constraint("zt", zeta0=zeta0, seed=args.seed)
     pid = disp.check_principal_identification(parse_complex(args.t),
                                               parse_complex(args.x))
 

@@ -120,39 +120,8 @@ class GridFunction:
                             spectral_derivative(self.values, self.length)
                             + self.mean_slope)
 
-    def second_derivative(self) -> "GridFunction":
-        d1 = spectral_derivative(self.values, self.length)
-        return GridFunction(self.length, spectral_derivative(d1, self.length))
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) + abs(self.mean_slope)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.length, self.values.copy(), self.mean_slope)
-
-    def _compatible(self, other: "GridFunction"):
-        if (self.length != other.length) or (self.size != other.size):
-            raise DomainError("grid mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._compatible(other)
-            return GridFunction(self.length, self.values + other.values,
-                                self.mean_slope + other.mean_slope)
-        return GridFunction(self.length, self.values + complex(other),
-                            self.mean_slope)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.__add__(other * (-1) if isinstance(other, GridFunction)
-                            else -complex(other))
-
-    def __mul__(self, scalar):
-        c = complex(scalar)
-        return GridFunction(self.length, self.values * c, self.mean_slope * c)
-
-    __rmul__ = __mul__
 
 
 def _check_commensurate(gf: GridFunction, label: str):
@@ -177,14 +146,11 @@ class DispersionlessFields:
     varpi: "PotentialField | None" = None
 
     def __post_init__(self):
-        self.u._compatible(self.v)
+        if (self.u.length != self.v.length) or (self.u.size != self.v.size):
+            raise DomainError("grid mismatch")
         _check_commensurate(self.u, "u")
         _check_commensurate(self.v, "v")
-        f = np.exp(-self.u.total_values())
-        if not np.all(np.isfinite(f)):
-            raise DomainError("exp(-u) overflows on the grid")
-        if np.any(np.abs(1.0 - f) < _BRANCH_TOL):
-            raise DomainError("branch guard: exp(-u) = 1 on the grid")
+        _exp_minus_u(self.u.total_values())
 
     @classmethod
     def from_auxiliary(cls, s: GridFunction, r: GridFunction,
@@ -225,18 +191,50 @@ class PotentialField:
 # flows
 
 
-def _exponentials(u, v, direction: str):
-    """E = e^{+/-v} and F = e^{-u} from total field values, with the
-    overflow and branch guards every flow evaluation needs."""
-    if direction not in ("z", "zt"):
-        raise DomainError("direction must be 'z' or 'zt'")
-    e = np.exp(v if direction == "z" else -v)
+def _family_sign(direction: str) -> float:
+    """+1 for the first family (z), -1 for the second (zt): the sign of v in
+    E = e^{+/-v} and of the u-row of the flows."""
+    if direction == "z":
+        return 1.0
+    if direction == "zt":
+        return -1.0
+    raise DomainError("direction must be 'z' or 'zt'")
+
+
+def _exp_minus_u(u):
+    """F = e^{-u} from total values of u, rejecting overflow and the branch
+    point F = 1."""
     f = np.exp(-u)
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(f))):
-        raise DomainError("field exponentials overflow on the grid")
+    if not np.all(np.isfinite(f)):
+        raise DomainError("exp(-u) overflows on the grid")
     if np.any(np.abs(1.0 - f) < _BRANCH_TOL):
         raise DomainError("branch guard: exp(-u) = 1 on the grid")
-    return e, f
+    return f
+
+
+def _exponentials(u, v, sign: float):
+    """E = e^{sign v} and F = e^{-u} from total field values, with the
+    overflow and branch guards every flow evaluation needs."""
+    e = np.exp(v if sign > 0 else -v)
+    if not np.all(np.isfinite(e)):
+        raise DomainError("field exponentials overflow on the grid")
+    return e, _exp_minus_u(u)
+
+
+def _closed_form(zeta0: complex, u, v, sign: float):
+    """E = e^{sign v}, A = 1 + zeta E and S = sqrt(A^2 - 4 zeta E e^{-u}) on
+    scalars or arrays.  An overflowing exponential makes S^2 non-finite, so
+    one test rejects it together with the zeros of S^2."""
+    v = np.asarray(v, dtype=complex)
+    e = np.exp(v if sign > 0 else -v)
+    f = np.exp(-np.asarray(u, dtype=complex))
+    a = 1.0 + zeta0 * e
+    s2 = a * a - 4.0 * zeta0 * e * f
+    size = np.abs(s2)
+    if not np.all((size >= _BRANCH_TOL) & (size < math.inf)):
+        raise DomainError("closed form: S^2 vanishes or an exponential "
+                          "overflows on the grid")
+    return e, a, np.sqrt(s2)
 
 
 def _padded(coeffs, order: int):
@@ -256,6 +254,12 @@ def _log_series(e, f, order: int):
     return g_u, g_v
 
 
+def _flow_pair(c_u, c_v, length: float, sign: float):
+    """(sign * i d/dx c_u, i d/dx c_v): a flow from its zeta-coefficients."""
+    return (sign * 1j * spectral_derivative(c_u, length),
+            1j * spectral_derivative(c_v, length))
+
+
 def flow_generating_series(fields: DispersionlessFields, direction: str,
                            order: int):
     """Expansions of the two log generating functions up to the given
@@ -263,22 +267,19 @@ def flow_generating_series(fields: DispersionlessFields, direction: str,
     zeta^j coefficient."""
     if order < 1:
         raise TruncationOrderError("expansion order must be at least 1")
-    e, f = _exponentials(fields.u.total_values(), fields.v.total_values(),
-                         direction)
-    return _log_series(e, f, order)
+    return _log_series(*_exponentials(fields.u.total_values(),
+                                      fields.v.total_values(),
+                                      _family_sign(direction)), order)
 
 
 def _flow_rhs_values(u, v, length: float, j: int, direction: str):
     """Array form of flow_rhs on total field values u, v."""
     if j < 1:
         raise DomainError("flow index must be a positive integer")
-    e, f = _exponentials(u, v, direction)
+    sign = _family_sign(direction)
     # coefficient j does not depend on the truncation above j
-    g_u, g_v = _log_series(e, f, j)
-    sign_u = 1.0 if direction == "z" else -1.0
-    du = sign_u * 1j * spectral_derivative(j * g_u[j], length)
-    dv = 1j * spectral_derivative(j * g_v[j], length)
-    return du, dv
+    g_u, g_v = _log_series(*_exponentials(u, v, sign), j)
+    return _flow_pair(j * g_u[j], j * g_v[j], length, sign)
 
 
 def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
@@ -294,41 +295,53 @@ def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
 
 
 def recombined_flow(zeta0: complex, fields: DispersionlessFields,
-                    direction: str, jmax: int = 10):
+                    direction: str, jmax: int):
     """Sum_{j=1..jmax} zeta0^j (du_j, dv_j): the grouped flow that the
     Hamiltonian form generates in one stroke."""
     g_u, g_v = flow_generating_series(fields, direction, jmax)
     z = complex(zeta0)
     if not jmax * math.log(abs(z) or 1.0) < math.log(sys.float_info.max):
         raise DomainError(f"zeta = {z} overflows at power jmax = {jmax}")
+    acc_u = sum((z ** j) * j * g_u[j] for j in range(1, jmax + 1))
+    acc_v = sum((z ** j) * j * g_v[j] for j in range(1, jmax + 1))
     length = fields.u.length
-    sign_u = 1.0 if direction == "z" else -1.0
-    acc_u = np.zeros_like(g_u[0])
-    acc_v = np.zeros_like(acc_u)
-    for j in range(1, jmax + 1):
-        acc_u = acc_u + (z ** j) * j * g_u[j]
-        acc_v = acc_v + (z ** j) * j * g_v[j]
-    du = sign_u * 1j * spectral_derivative(acc_u, length)
-    dv = 1j * spectral_derivative(acc_v, length)
+    du, dv = _flow_pair(acc_u, acc_v, length, _family_sign(direction))
     return GridFunction(length, du), GridFunction(length, dv)
+
+
+_SERIES_TOL = 1e-10
+_MAX_SERIES_ORDER = 60
+
+
+def _series_order(zeta0: complex, e, f) -> int:
+    """Smallest j with rho^j/(1 - rho) <= 1e-10: the tail past zeta^j
+    relative to the leading term, two decades under the finite-difference
+    floor.  rho = |zeta0|/R, with R the distance to the nearest zero of
+    S^2 = E^2 zeta^2 + 2E(1 - 2F) zeta + 1 on the grid; for F != 1 these
+    zeros are the only singularities of the generating functions."""
+    b = 1.0 - 2.0 * f
+    root = np.sqrt(b * b - 1.0)
+    # the zeros are -(b -/+ root)/E with product 1/E^2, so the nearer one
+    # has modulus 1/(|E| max|b -/+ root|)
+    far = np.maximum(np.abs(b + root), np.abs(b - root))
+    rho = abs(zeta0) * float(np.max(np.abs(e) * far))
+    if rho < 1:
+        for order in range(1, _MAX_SERIES_ORDER + 1):
+            if rho ** order <= _SERIES_TOL * (1.0 - rho):
+                return order
+    raise DomainError(
+        f"zeta = {zeta0} lies at {rho:.3g} of the distance to the nearest "
+        f"branch point of S on the grid; the zeta-series would need more "
+        f"than {_MAX_SERIES_ORDER} terms")
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian densities
 
 
-def _density_pointwise(zeta0: complex, u, v, which: str):
+def _density_pointwise(zeta0: complex, u, v, sign: float):
     """Scalar/array evaluation of the density generating function."""
-    if which not in ("h", "ht"):
-        raise DomainError("which must be 'h' or 'ht'")
-    v = np.asarray(v, dtype=complex)
-    e = np.exp(v if which == "h" else -v)
-    f = np.exp(-np.asarray(u, dtype=complex))
-    a = 1.0 + zeta0 * e
-    s2 = a * a - 4.0 * zeta0 * e * f
-    if np.any(np.abs(s2) < _BRANCH_TOL):
-        raise DomainError("density generating function: branch point on the grid")
-    s = np.sqrt(s2)
+    _, a, s = _closed_form(zeta0, u, v, sign)
     y = a / s
     if np.any(np.abs(1.0 - y * y) < _BRANCH_TOL):
         raise DomainError("density generating function: atanh argument at +/-1")
@@ -336,74 +349,56 @@ def _density_pointwise(zeta0: complex, u, v, which: str):
 
 
 def hamiltonian_density(zeta0: complex, fields: DispersionlessFields,
-                        which: str = "h") -> GridFunction:
+                        direction: str = "z") -> GridFunction:
     """Generating function -i atanh((1+zeta e^{+/-v})/S) of conserved
     densities, evaluated at a fixed numeric zeta."""
     vals = _density_pointwise(complex(zeta0), fields.u.total_values(),
-                              fields.v.total_values(), which)
+                              fields.v.total_values(), _family_sign(direction))
     return GridFunction(fields.u.length, vals)
 
 
-def hamiltonian_gradients(zeta0: complex, u, v, which: str = "h"):
+def hamiltonian_gradients(zeta0: complex, u, v, direction: str = "z"):
     """Closed-form (dh/du, dh/dv) for the density generating function."""
-    if which not in ("h", "ht"):
-        raise DomainError("which must be 'h' or 'ht'")
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    e = np.exp(v if which == "h" else -v)
-    f = np.exp(-u)
-    a = 1.0 + zeta0 * e
-    s = np.sqrt(a * a - 4.0 * zeta0 * e * f)
+    sign = _family_sign(direction)
+    e, a, s = _closed_form(zeta0, u, v, sign)
     dh_du = -1j * a / (2.0 * s)
     dh_dv = 1j * (1.0 - zeta0 * e) / (2.0 * s)
-    if which == "ht":
+    if sign < 0:
         dh_dv = -dh_dv
     return dh_du, dh_dv
 
 
 def delta_flow(zeta0: complex, fields: DispersionlessFields,
                direction: str):
-    """Closed-form grouped flow (Delta u, Delta v) at numeric zeta:
-    Delta v = -i d/dx[(1+zeta E)/(2S)], Delta u = +/- i d/dx[(1-zeta E)/(2S)]
-    (plus for the first family, minus for the second)."""
-    if direction not in ("z", "zt"):
-        raise DomainError("direction must be 'z' or 'zt'")
-    e, f = _exponentials(fields.u.total_values(), fields.v.total_values(),
-                         direction)
-    a = 1.0 + zeta0 * e
-    s = np.sqrt(a * a - 4.0 * zeta0 * e * f)
+    """Closed-form grouped flow at numeric zeta through the bracket
+    {u(x), v(y)} = delta'(x - y): (Delta u, Delta v) = d/dx (dh/dv, dh/du),
+    i.e. Delta v = -i d/dx[(1+zeta E)/(2S)] and
+    Delta u = +/- i d/dx[(1-zeta E)/(2S)] (plus for the first family)."""
     length = fields.u.length
-    dv = -1j * spectral_derivative(a / (2.0 * s), length)
-    sign = 1.0 if direction == "z" else -1.0
-    du = sign * 1j * spectral_derivative((1.0 - zeta0 * e) / (2.0 * s), length)
-    return GridFunction(length, du), GridFunction(length, dv)
+    dh_du, dh_dv = hamiltonian_gradients(zeta0, fields.u.total_values(),
+                                         fields.v.total_values(), direction)
+    return (GridFunction(length, spectral_derivative(dh_dv, length)),
+            GridFunction(length, spectral_derivative(dh_du, length)))
 
 
-def _centered_gradients(zeta0, u, v, which, h):
+def _centered_gradients(zeta0, u, v, sign, h):
     """Plain centered finite-difference gradients of the density in (u, v)."""
-    gu = (_density_pointwise(zeta0, u + h, v, which)
-          - _density_pointwise(zeta0, u - h, v, which)) / (2.0 * h)
-    gv = (_density_pointwise(zeta0, u, v + h, which)
-          - _density_pointwise(zeta0, u, v - h, which)) / (2.0 * h)
+    gu = (_density_pointwise(zeta0, u + h, v, sign)
+          - _density_pointwise(zeta0, u - h, v, sign)) / (2.0 * h)
+    gv = (_density_pointwise(zeta0, u, v + h, sign)
+          - _density_pointwise(zeta0, u, v - h, sign)) / (2.0 * h)
     return gu, gv
-
-
-def _fd_gradients(zeta0, u, v, which, step):
-    """Centered finite-difference gradients of the density in (u, v) with
-    one Richardson step (h and h/2)."""
-    gu1, gv1 = _centered_gradients(zeta0, u, v, which, step)
-    gu2, gv2 = _centered_gradients(zeta0, u, v, which, step / 2.0)
-    return (4.0 * gu2 - gu1) / 3.0, (4.0 * gv2 - gv1) / 3.0
 
 
 RECOMBINATION_SIGNS = {"u": -1, "v": +1}
 
 
 def check_hamiltonian_form(zeta0: complex, fields: DispersionlessFields,
-                           direction: str = "z", jmax: int = 10) -> dict:
+                           direction: str = "z") -> dict:
     """Consistency of the three routes to the grouped flow at numeric zeta.
 
-    1. density gradients by centered differences vs the closed forms;
+    1. density gradients by centered differences (steps 1e-4 and 5e-5, one
+       Richardson step) vs the closed forms;
     2. d/dx of the finite-difference gradients vs the closed grouped flow
        (the acceptance check between the density generating function and
        the first-order form of the flow equations);
@@ -412,57 +407,49 @@ def check_hamiltonian_form(zeta0: complex, fields: DispersionlessFields,
        v row: +1) relative to the printed flow signs;
     4. the same comparison routed through the Poisson bracket
        {u(x), v(y)} = delta'(x - y), i.e. du/dt = d/dx(dh/dv),
-       dv/dt = d/dx(dh/du), with plain centered differences.
+       dv/dt = d/dx(dh/du), with plain centered differences (step 5e-5).
 
-    The finite-difference steps are 1e-4 and 5e-5.
+    The series order is worked out from zeta and the fields
+    (`series_order` in the result); a zeta that would need more than 60
+    terms raises DomainError.
     """
     zeta0 = complex(zeta0)
-    # first, so that a zeta whose powers overflow is rejected up front
-    du_rec, dv_rec = recombined_flow(zeta0, fields, direction, jmax)
-    which = "h" if direction == "z" else "ht"
+    sign = _family_sign(direction)
     u = fields.u.total_values()
     v = fields.v.total_values()
     length = fields.u.length
+    # first, so that a zeta out of the series' reach is rejected up front
+    order = _series_order(zeta0, *_exponentials(u, v, sign))
+    du_rec, dv_rec = recombined_flow(zeta0, fields, direction, order)
 
-    gu_fd, gv_fd = _fd_gradients(zeta0, u, v, which, 1e-4)
-    gu_cl, gv_cl = hamiltonian_gradients(zeta0, u, v, which)
+    gu_cl, gv_cl = hamiltonian_gradients(zeta0, u, v, direction)
+    du_cl, dv_cl = (g.values for g in delta_flow(zeta0, fields, direction))
+    gu_1, gv_1 = _centered_gradients(zeta0, u, v, sign, 1e-4)
+    gu_p, gv_p = _centered_gradients(zeta0, u, v, sign, 5e-5)
+    gu_fd = (4.0 * gu_p - gu_1) / 3.0
+    gv_fd = (4.0 * gv_p - gv_1) / 3.0
 
     def rel(a, b):
         scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
         return float(np.max(np.abs(a - b))) / scale
 
-    du_cl, dv_cl = delta_flow(zeta0, fields, direction)
-    dv_from_h = spectral_derivative(gu_fd, length)
-    du_from_h = spectral_derivative(gv_fd, length)
-    # the closed Delta u carries the direction sign; so does d/dx(dh/dv)
-    # through the which-dependent dh/dv, hence these compare directly
-    report = {
-        "zeta": zeta0,
-        "direction": direction,
+    # the closed Delta u carries the direction sign through dh/dv, hence
+    # d/dx of the finite-difference dh/dv compares directly
+    residuals = {
         "gradient_residual_u": rel(gu_fd, gu_cl),
         "gradient_residual_v": rel(gv_fd, gv_cl),
-        "hamiltonian_vs_delta_v": rel(dv_from_h, dv_cl.values),
-        "hamiltonian_vs_delta_u": rel(du_from_h, du_cl.values),
-        "recombination_signs": dict(RECOMBINATION_SIGNS),
+        "hamiltonian_vs_delta_v": rel(spectral_derivative(gu_fd, length), dv_cl),
+        "hamiltonian_vs_delta_u": rel(spectral_derivative(gv_fd, length), du_cl),
+        "recombination_residual_u": rel(du_rec.values,
+                                        RECOMBINATION_SIGNS["u"] * du_cl),
+        "recombination_residual_v": rel(dv_rec.values,
+                                        RECOMBINATION_SIGNS["v"] * dv_cl),
+        "poisson_residual_u": rel(spectral_derivative(gv_p, length), du_cl),
+        "poisson_residual_v": rel(spectral_derivative(gu_p, length), dv_cl),
     }
-
-    report["recombination_residual_u"] = rel(
-        du_rec.values, RECOMBINATION_SIGNS["u"] * du_cl.values)
-    report["recombination_residual_v"] = rel(
-        dv_rec.values, RECOMBINATION_SIGNS["v"] * dv_cl.values)
-
-    gu_p, gv_p = _centered_gradients(zeta0, u, v, which, 5e-5)
-    report["poisson_residual_u"] = rel(spectral_derivative(gv_p, length),
-                                       du_cl.values)
-    report["poisson_residual_v"] = rel(spectral_derivative(gu_p, length),
-                                       dv_cl.values)
-    report["max_residual"] = max(
-        report[k] for k in ("gradient_residual_u", "gradient_residual_v",
-                            "hamiltonian_vs_delta_u", "hamiltonian_vs_delta_v",
-                            "recombination_residual_u",
-                            "recombination_residual_v",
-                            "poisson_residual_u", "poisson_residual_v"))
-    return report
+    return {"zeta": zeta0, "direction": direction, "series_order": order,
+            "recombination_signs": dict(RECOMBINATION_SIGNS), **residuals,
+            "max_residual": max(residuals.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +498,8 @@ def _second_derivative_fd(fn, center, step):
     return (16.0 * fine - coarse) / 15.0
 
 
-def check_density_constraint(which: str = "h", zeta0: complex = 0.15 + 0.1j,
+def check_density_constraint(direction: str = "z",
+                             zeta0: complex = 0.15 + 0.1j,
                              seed: int = 7) -> dict:
     """The density generating functions satisfy the hydrodynamic constraint
     d2g/du2 = c(u) d2g/dv2 with the elementary prefactor c(u) = s/(e^u - 1)
@@ -522,6 +510,7 @@ def check_density_constraint(which: str = "h", zeta0: complex = 0.15 + 0.1j,
     both-sign reporting of the small-phase-space identification check.
     Verified by finite differences (step 5e-3) at 20 random sample points
     with Re u in [0.5, 2]."""
+    sign = _family_sign(direction)
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(20):
@@ -531,11 +520,11 @@ def check_density_constraint(which: str = "h", zeta0: complex = 0.15 + 0.1j,
 
     def one(point):
         u0, v0 = point
-        g0 = _density_pointwise(zeta0, u0, v0, which)
+        g0 = _density_pointwise(zeta0, u0, v0, sign)
 
         def density(u, v):
             # -i/2 log(...) jumps by pi across its cut: use the centre's sheet
-            g = _density_pointwise(zeta0, u, v, which)
+            g = _density_pointwise(zeta0, u, v, sign)
             return g - np.pi * np.round((g - g0).real / np.pi)
 
         g_uu = _second_derivative_fd(lambda du: density(u0 + du, v0), 0.0, 5e-3)
@@ -556,7 +545,7 @@ def check_density_constraint(which: str = "h", zeta0: complex = 0.15 + 0.1j,
                            - FrobeniusData.fppp_polylog(u0))
                        for u0, _ in pts)
     return {
-        "which": which,
+        "direction": direction,
         "zeta": complex(zeta0),
         "samples": len(pts),
         "constraint_sign": sign,
@@ -601,8 +590,6 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
 
     length = fields.u.length
     su, sv = fields.u.mean_slope, fields.v.mean_slope
-    _check_commensurate(fields.u, "u")
-    _check_commensurate(fields.v, "v")
     xs = fields.u.nodes
 
     def rhs(state):

@@ -154,10 +154,6 @@ class Trajectory:
     dt: float = 0.0
     sample_every: int = 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
-
     def conserved_drift(self) -> float:
         # C0 is the log of the conserved product, so only defined mod 2 pi i
         ref = self.conserved[0]

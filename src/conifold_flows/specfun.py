@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -28,8 +27,6 @@ from .errors import DomainError, PoleError
 
 __all__ = [
     "bernoulli_number",
-    "BernoulliTable",
-    "bernoulli_table",
     "bernoulli_egf",
     "dense_log",
     "dense_mul",
@@ -60,27 +57,6 @@ def bernoulli_number(k: int) -> Fraction:
                     acc += math.comb(m + 1, j) * _BERNOULLI[j]
                 _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[k]
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Immutable prefix B_0..B_max_index of the Bernoulli sequence."""
-
-    max_index: int
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.max_index:
-            raise DomainError(f"index {k} outside table range 0..{self.max_index}")
-        return self.values[k]
-
-
-def bernoulli_table(max_index: int) -> BernoulliTable:
-    """Build the exact table B_0..B_max_index."""
-    if max_index < 0:
-        raise DomainError("table length must be non-negative")
-    bernoulli_number(max_index)
-    return BernoulliTable(max_index, tuple(_BERNOULLI[: max_index + 1]))
 
 
 # ---------------------------------------------------------------------------

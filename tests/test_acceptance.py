@@ -253,7 +253,7 @@ def test_criterion_07_hydrodynamic_flow_coefficients():
 
 
 def test_criterion_08_density_constraint_and_hamiltonian_form():
-    dens = {w: check_density_constraint(which=w) for w in ("h", "ht")}
+    dens = {d: check_density_constraint(direction=d) for d in ("z", "zt")}
     dens_worst = max(rep["max_residual"] for rep in dens.values())
     signs_ok = all(rep["constraint_sign"] == -1 for rep in dens.values())
     fppp = max(rep["fppp_identity_error"] for rep in dens.values())

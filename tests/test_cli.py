@@ -143,6 +143,15 @@ def test_disp_check_small_grid(capsys):
     assert rep["results"]["recombination_signs"] == {"u": -1, "v": 1}
 
 
+@pytest.mark.parametrize("grid", ["32", "64"])
+@pytest.mark.parametrize("zeta", ["0.25+0.1i", "0.3", "0.6"])
+def test_disp_check_passes_at_large_zeta(capsys, grid, zeta):
+    # the zeta-series order follows zeta, so the Hamiltonian-form residuals
+    # stay at the finite-difference floor out to |zeta| = 0.6
+    code, rep = run_json(capsys, ["disp", "check", "--grid", grid, "--zeta", zeta])
+    assert code == 0 and rep["status"] == "pass", rep["residuals"]
+
+
 # ---------------------------------------------------------------------------
 # simulations
 
@@ -241,9 +250,11 @@ def test_reports_are_byte_identical(tmp_path):
     (["disp", "run", "--dt", "nan"], "dt = nan"),
     (["disp", "run", "--length", "nan"], "length"),
     (["disp", "check", "--zeta", "1e200"], "zeta"),
+    (["disp", "check", "--zeta", "0.8"], "zeta"),
     (["gw", "scan-asymptotics", "--eps", "0.1,0.1", "--points", "2"], "eps"),
     (["gw", "eval", "--potential", "--lam", "0"], "coupling"),
     (["gw", "eval", "--potential", "--lam", "1e-200"], "coupling"),
+    (["barnes", "eval", "--function", "log-g", "--lam", "1e-200"], "coupling"),
     (["al", "run", "--N", "8", "--planewave", "A=0.3,B=0.2,mode=1",
       "--dt", "nan"], "dt = nan"),
     (["barnes", "eval", "--function", "log-h", "--omega", "0.2,1",
@@ -253,8 +264,9 @@ def test_reports_are_byte_identical(tmp_path):
      "tolerance"),
     (["gw", "check-diff", "--quad-tol", "inf"], "tolerance"),
 ], ids=["disp-run-T-inf", "disp-run-dt-nan", "disp-run-length-nan",
-        "disp-check-zeta-1e200", "gw-scan-equal-eps", "gw-potential-lam-0",
-        "gw-potential-lam-1e-200", "al-run-dt-nan", "barnes-log-h-quad-tol-neg",
+        "disp-check-zeta-1e200", "disp-check-zeta-0.8", "gw-scan-equal-eps",
+        "gw-potential-lam-0", "gw-potential-lam-1e-200",
+        "barnes-log-g-lam-1e-200", "al-run-dt-nan", "barnes-log-h-quad-tol-neg",
         "barnes-log-g-quad-tol-0", "barnes-log-sine-quad-tol-nan",
         "gw-check-diff-quad-tol-inf"])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv, names):

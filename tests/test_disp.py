@@ -30,6 +30,7 @@ from conifold_flows.disp import (
     flow_generating_series,
     flow_rhs,
     hamiltonian_density,
+    hamiltonian_gradients,
     recombined_flow,
     spectral_derivative,
     u_from_r,
@@ -87,7 +88,8 @@ def test_spectral_derivative_on_trig_polynomial():
     want = -tp * np.sin(tp * x) + 1.5 * tp * np.cos(3 * tp * x)
     assert np.max(np.abs(f.derivative().values - want)) < 1e-12
     want2 = -tp**2 * np.cos(tp * x) - 4.5 * tp**2 * np.sin(3 * tp * x)
-    assert np.max(np.abs(f.second_derivative().values - want2)) < 1e-11
+    second = spectral_derivative(spectral_derivative(f.values, L), L)
+    assert np.max(np.abs(second - want2)) < 1e-11
 
 
 def test_grid_function_slope_bookkeeping():
@@ -100,16 +102,17 @@ def test_grid_function_slope_bookkeeping():
     assert abs(np.mean(d.values) - slope) < 1e-13
 
 
-def test_grid_function_guards_and_arithmetic():
+def test_grid_function_guards():
     with pytest.raises(DomainError):
         GridFunction(L, np.zeros(3))
     with pytest.raises(DomainError):
         GridFunction(-1.0, np.zeros(8))
-    f = GridFunction(L, np.ones(8), mean_slope=1.0)
-    g = 2.0 * f - f
-    assert np.all(g.values == 1.0) and g.mean_slope == 1.0
-    with pytest.raises(DomainError):
-        f + GridFunction(3.0, np.ones(8))
+    with pytest.raises(DomainError, match="grid mismatch"):
+        DispersionlessFields(GridFunction(L, np.ones(8)),
+                             GridFunction(3.0, np.ones(8)))
+    with pytest.raises(DomainError, match="grid mismatch"):
+        DispersionlessFields(GridFunction(L, np.ones(8)),
+                             GridFunction(L, np.ones(16)))
 
 
 def test_incommensurate_slope_rejected():
@@ -237,8 +240,8 @@ def test_flows_vanish_on_constants():
 def test_mirror_map_between_families():
     # (u, v) -> (u, -v) exchanges the families up to (du, dv) -> (-du, +dv)
     fields = _fields(seed=9)
-    mirrored = DispersionlessFields(fields.u.copy(),
-                                    fields.v * (-1))
+    mirrored = DispersionlessFields(fields.u,
+                                    GridFunction(L, -fields.v.values))
     for j in (1, 2, 4):
         du_z, dv_z = flow_rhs(fields, j, "z")
         du_m, dv_m = flow_rhs(mirrored, j, "zt")
@@ -274,8 +277,9 @@ def test_flow_guards():
 @pytest.mark.parametrize("direction", ["z", "zt"])
 def test_hamiltonian_form_consistency(direction):
     fields = _fields(seed=3, amp=0.2)
-    rep = check_hamiltonian_form(0.12 + 0.08j, fields, direction, jmax=14)
+    rep = check_hamiltonian_form(0.12 + 0.08j, fields, direction)
     assert rep["max_residual"] <= 1e-6, rep
+    assert rep["direction"] == direction
     assert rep["recombination_signs"] == {"u": -1, "v": +1}
 
 
@@ -298,23 +302,71 @@ def test_density_and_delta_flow_guards():
     with pytest.raises(DomainError):
         hamiltonian_density(0.0, fields)  # atanh argument hits 1 at zeta = 0
     with pytest.raises(DomainError):
-        hamiltonian_density(0.1, fields, which="x")
+        hamiltonian_density(0.1, fields, direction="x")
     with pytest.raises(DomainError):
         delta_flow(0.1, fields, "w")
     dens = hamiltonian_density(0.15 + 0.1j, fields)
     assert dens.size == N and np.all(np.isfinite(dens.values))
 
 
+_B = 1 - 2 / math.e  # S^2 = zeta^2 + 2 b zeta + 1 at u = 1, v = 0
+
+
+@pytest.mark.parametrize("direction", ["z", "zt"])
+@pytest.mark.parametrize("u0, v0, zeta0", [
+    pytest.param(1.0, 0.0, complex(-_B, math.sqrt(1 - _B * _B)), id="zero-of-S"),
+    pytest.param(1.0, 800.0, 0.1 + 0.05j, id="v-800"),
+    pytest.param(-800.0, 0.0, 0.1 + 0.05j, id="u-minus-800"),
+])
+def test_closed_form_guard_is_shared(direction, u0, v0, zeta0):
+    # the density, its gradients and the grouped flow evaluate one closed
+    # form behind one guard; v is mirrored for zt so that E = e^{-v}
+    # overflows in that family as e^{v} does in the first
+    if direction == "zt":
+        v0 = -v0
+    fields = _fields()
+    # assigned after construction, past the exp(-u) guard of the fields
+    fields.u = GridFunction(L, np.full(N, u0, complex))
+    fields.v = GridFunction(L, np.full(N, v0, complex))
+    u, v = fields.u.total_values(), fields.v.total_values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError):
+            hamiltonian_density(zeta0, fields, direction)
+        with pytest.raises(DomainError):
+            hamiltonian_gradients(zeta0, u, v, direction)
+        with pytest.raises(DomainError):
+            delta_flow(zeta0, fields, direction)
+
+
+def test_series_order_holds_recombination_to_tolerance():
+    # the order worked out from zeta keeps the recombined series within
+    # 1e-9 of the closed grouped flow out to |zeta| = 0.6 on fields of the
+    # CLI's amplitude; past 60 terms zeta is rejected
+    fields = _fields(seed=3, amp=0.1)
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        zeta0 = rng.uniform(0.02, 0.6) * cmath.exp(2j * math.pi * rng.random())
+        for direction in ("z", "zt"):
+            rep = check_hamiltonian_form(zeta0, fields, direction)
+            assert rep["series_order"] <= 60
+            assert rep["recombination_residual_u"] <= 1e-9, rep
+            assert rep["recombination_residual_v"] <= 1e-9, rep
+    with pytest.raises(DomainError, match="zeta"):
+        check_hamiltonian_form(0.8, fields, "z")
+
+
 # ---------------------------------------------------------------------------
 # density constraint (Frobenius layer)
 
 
-# seed 12 (h) and seed 54 (ht) put a stencil across the pi jump of the log
-@pytest.mark.parametrize("which,seed", [
-    pytest.param(which, seed, id=which if seed == 7 else f"{which}-{seed}")
-    for seed in (7, 12, 54) for which in ("h", "ht")])
-def test_density_constraint_both_signs_reported(which, seed):
-    rep = check_density_constraint(which=which, seed=seed)
+# the ids name the densities h (family z) and h-tilde (family zt); seed 12
+# (h) and seed 54 (ht) put a stencil across the pi jump of the log
+@pytest.mark.parametrize("direction,seed", [
+    pytest.param(direction, seed, id=name if seed == 7 else f"{name}-{seed}")
+    for seed in (7, 12, 54) for direction, name in (("z", "h"), ("zt", "ht"))])
+def test_density_constraint_both_signs_reported(direction, seed):
+    rep = check_density_constraint(direction=direction, seed=seed)
+    assert rep["direction"] == direction
     # sharp residual within tolerance, and the satisfied prefactor is
     # uniformly 1/(1 - e^u) (sign -1 relative to 1/(e^u - 1))
     assert rep["max_residual"] <= 1e-6, rep

@@ -13,7 +13,6 @@ import sympy
 from conifold_flows import DomainError, PoleError
 from conifold_flows.specfun import (
     bernoulli_number,
-    bernoulli_table,
     gen_bernoulli,
     polylog,
 )
@@ -67,11 +66,7 @@ def test_bernoulli_against_sympy():
         assert bernoulli_number(k) == want
 
 
-def test_bernoulli_table_bounds():
-    table = bernoulli_table(10)
-    assert table[10] == bernoulli_number(10)
-    with pytest.raises(DomainError):
-        table[11]
+def test_bernoulli_negative_index_rejected():
     with pytest.raises(DomainError):
         bernoulli_number(-1)
 
