@@ -20,6 +20,15 @@ between the series terms and the integral stays far below the returned
 accuracy.  ``working_precision(quad_tol)`` alone maps a tolerance to those
 digits and holds the lock that serializes precision changes; every entry
 point here, and every mpmath computation in :mod:`gw`, runs under it.
+
+``log_h`` and ``log_g`` first try Bridgeland's q-series for the kernels (the
+Gopakumar-Vafa sum in x = e^{2 pi i t/w2} plus its non-perturbative series
+in y = e^{2 pi i (t - w2)/w1}), which converges for non-real w1/w2 when
+|x| < 1 and |y| < 1, and costs milliseconds.  Its value is the branch
+convention: it may differ from the quadrature by a multiple of 2 pi i.
+Real w1/w2, |y| >= 1, and points where the series would lose too many
+digits to cancellation fall back to the split integral and the extension
+walk above.
 """
 from __future__ import annotations
 
@@ -52,6 +61,8 @@ DEFAULT_QUAD_TOL = 1e-12
 _MIN_COUPLING = 1e-6
 _EXTENSION_STEP_CAP = 400
 _LAURENT_ORDER = 64
+_Q_GUARD_DIGITS = 10
+_Q_TERM_CAP = 1000
 
 _PREC_LOCK = threading.RLock()
 
@@ -317,8 +328,106 @@ def _walk(t, w1, w2, offset, direct, step):
     return direct(t + k * w1 + offset) + corr
 
 
+def _q_sum(a, b, factor):
+    """sum_{k>=1} e^{ka} u_k f_k / k with u_k = 1/(1 - e^{kb}), where
+    factor(k, u_k, U_k) gives f_k and a bound on |f_k| that does not grow
+    with k, given U_k = 1/(1 - |e^b|^k) >= |u_k|.
+
+    Returns (sum, size), where size adds up each |term| times its condition
+    number, or None when Re a or Re b is not negative or the tail bound does
+    not fall below the working epsilon within _Q_TERM_CAP terms.  The terms
+    are bounded by |e^a|^k U_k F_k / k, which shrinks at least by |e^a| a step.
+    """
+    base, p = mp.exp(a), mp.exp(b)
+    rho = abs(base)
+    if not (rho < 1 and abs(p) < 1):
+        return None
+    # rounding in e^{ka} grows like k |a|; in 1 - e^{kb}, like k |b| |u_k|
+    scale_a, scale_b = 1 + abs(a), 2 * (1 + abs(b))
+    total, size = mp.mpc(0), mp.mpf(0)
+    power, pk = mp.mpc(1), mp.mpc(1)
+    for k in range(1, _Q_TERM_CAP + 1):
+        power *= base
+        pk *= p
+        u = 1 / (1 - pk)
+        U = 1 / (1 - abs(pk))
+        f, f_bound = factor(k, u, U)
+        term = power * u * f / k
+        total += term
+        size += abs(term) * k * (scale_a + scale_b * abs(u))
+        if abs(power) * rho * U * f_bound / (k * (1 - rho)) <= mp.eps:
+            return total, size
+    return None
+
+
+def _y_sum(tau, lam, kernel: str):
+    """The non-perturbative y-series of log G or log H for Im lam > 0, in
+    y = e^{2 pi i (tau - 1)/lam} and q~ = e^{-2 pi i/lam}."""
+    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+    if kernel == "h":
+        def factor(k, u, U):
+            return 1, 1
+    else:
+        def factor(k, u, U):
+            return (u / lam + 1 / (two_pi_i * k) - tau / lam,
+                    U / abs(lam) + 1 / (2 * mp.pi * k) + abs(tau / lam))
+    return _q_sum(two_pi_i * (tau - 1) / lam, -two_pi_i / lam, factor)
+
+
+def _q_series(t, w1, w2, quad_tol: float, kernel: str):
+    """log G(t|w1,w2) (kernel "g") or log H(t|w1,w2) ("h") from Bridgeland's
+    q-series, or None where the series cannot be trusted.
+
+    With tau = t/w2, lam = w1/w2, x = e^{2 pi i tau}, q = e^{2 pi i lam} and p
+    whichever of q, 1/q lies inside the unit disc:
+
+        log G = -sum_k (x p)^k / (k (1 - p^k)^2) + D(tau, lam)
+        log H = -sum_k x^k / (k (1 - q^k))       + D_H(tau, lam)
+
+    with D, D_H the y-series of _y_sum for Im lam > 0; for Im lam < 0 they
+    are conj(D(1 - conj tau, conj lam)) and -conj(D_H(1 - conj tau, conj lam)).
+    The sums run at _Q_GUARD_DIGITS above the working digits.  Near real lam
+    both grow large and cancel, so the value is returned only if the
+    rounding of both sums together, charged at the working digits, stays
+    within quad_tol * max(1, |value|).  Real lam, |x p| >= 1 (|x| >= 1 for
+    H with Im lam > 0), |y| >= 1 and a sum past the term cap also return None.
+    """
+    dps = _dps_for(quad_tol)
+    with mp.workdps(dps + _Q_GUARD_DIGITS):
+        tau, lam = t / w2, w1 / w2
+        if mp.im(lam) == 0:
+            return None
+        up = mp.im(lam) > 0
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        b = two_pi_i * lam if up else -two_pi_i * lam
+        if kernel == "h":
+            # x^k / (1 - q^k) = -(x p)^k / (1 - p^k) when p = 1/q
+            x_sum = _q_sum(two_pi_i * tau + (0 if up else b), b,
+                           lambda k, u, U: (-1 if up else 1, 1))
+        else:
+            x_sum = _q_sum(two_pi_i * tau + b, b, lambda k, u, U: (-u, U))
+        if up:
+            y_sum = _y_sum(tau, lam, kernel)
+        else:
+            y_sum = _y_sum(1 - mp.conj(tau), mp.conj(lam), kernel)
+            if y_sum is not None:
+                sign = 1 if kernel == "g" else -1
+                y_sum = (sign * mp.conj(y_sum[0]), y_sum[1])
+        if x_sum is None or y_sum is None:
+            return None
+        total = x_sum[0] + y_sum[0]
+        size = x_sum[1] + y_sum[1]
+    value = +total
+    if 10 * size * mp.mpf(10) ** -dps > quad_tol * max(1, abs(value)):
+        return None
+    return value
+
+
 def _log_h_mp(t, w1, w2, quad_tol: float):
     w1, w2 = mp.mpc(w1), mp.mpc(w2)
+    value = _q_series(mp.mpc(t), w1, w2, quad_tol, "h")
+    if value is not None:
+        return value
     # H(t + w1) = H(t) * (1 - exp(2 pi i t / w2))^{-1}
     return _walk(mp.mpc(t), w1, w2, 0,
                  lambda z: _direct_kernel(z, (w1, w2), quad_tol),
@@ -355,10 +464,15 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
     Needed where a large value is subtracted from a nearby one (asymptotic
     remainders, second differences) and float64 rounding of the individual
     values would drown the signal.  mpmath arguments keep their digits.
+    The value comes from the q-series where it converges and holds
+    quad_tol, and otherwise from the quadrature and the extension walk.
     """
     with working_precision(quad_tol):
         w1, w2 = mp.mpc(omega1), mp.mpc(omega2)
         _check_periods((w1, w2))
+        value = _q_series(mp.mpc(t), w1, w2, quad_tol, "g")
+        if value is not None:
+            return value
         # G(t + w1) = G(t) / H(t + w1 | w1, w2)
         return _walk(mp.mpc(t), w1, w2, w1,
                      lambda z: _direct_kernel(z, (w1, w1, w2), quad_tol),
@@ -367,10 +481,11 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
 
 def check_coupling(lam_check) -> None:
     """Reject a reduced coupling outside the domain of the G kernel: it needs
-    Re(lam_check) > 0 and |lam_check| >= 1e-6.  log G grows like
-    |lam_check|^-2 and its second difference loses the digits of that growth:
-    at 1e-6 the residual still stays under the default quadrature tolerance,
-    and near 1e-9 the quadrature itself fails."""
+    Re(lam_check) > 0 and |lam_check| >= 1e-6.  A complex coupling takes the
+    q-series, whose second-difference residual at 1e-6 is below 1e-16.  A
+    real one takes the quadrature: log G grows like |lam_check|^-2, its
+    second difference loses the digits of that growth, and near 1e-9 the
+    quadrature itself fails, so the bound holds for both."""
     lam_check = complex(lam_check)
     if not lam_check.real > 0:
         raise DomainError("reduced coupling needs positive real part")

@@ -2,8 +2,9 @@
 
 Oracles: mpmath's Hurwitz zeta and loggamma for rank 1, exact shift and
 homogeneity identities across ranks, a finite-difference s-derivative for the
-log-gamma normalization, and the closed-form difference equations for the
-rank-2/3 kernels.
+log-gamma normalization, the closed-form difference equations for the
+rank-2/3 kernels, and for their q-series the quadrature's multiple sine with
+its Bernoulli prefactor.
 """
 import cmath
 import math
@@ -13,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conifold_flows import DomainError
+from conifold_flows import DomainError, barnes
 from conifold_flows.barnes import (
     barnes_zeta,
     fold_2pii,
@@ -187,6 +188,65 @@ def test_log_g_highprec_matches_float_path():
     hp = log_g_highprec(t, lam, 1.0)
     assert isinstance(hp, (mp.mpc, mp.mpf))
     assert abs(complex(hp) - log_g(t, lam, 1.0)) < 1e-12
+
+
+def _oracle(kernel, t, w1, w2):
+    """log G or log H from the quadrature's multiple sine and the Bernoulli
+    prefactor, through public names only."""
+    if kernel == "g":
+        z, om = t + w1, (w1, w1, w2)
+        return (log_multiple_sine(z, om)
+                + 1j * math.pi / 6 * gen_bernoulli(3, 3, z, om))
+    om = (w1, w2)
+    return log_multiple_sine(t, om) - 1j * math.pi / 2 * gen_bernoulli(2, 2, t, om)
+
+
+def _series_points():
+    """20 draws from the kernel_direct domain (t/w2, w1/w2) with complex w2,
+    alternating the kernel and the sign of Im(w1/w2) and kept inside the
+    oracle's strip, then both kernels at |w1/w2| = 1e-4, arg +-pi/4."""
+    rng = np.random.default_rng(1703)
+    pts = []
+    while len(pts) < 20:
+        kernel, sign = "gh"[len(pts) % 2], (-1) ** (len(pts) // 2)
+        tau = complex(rng.uniform(0.2, 0.65), rng.uniform(0.21, 0.99))
+        lam = rng.uniform(0.05, 0.3) * cmath.exp(1j * sign * rng.uniform(0.05, 1.4))
+        w2 = complex(rng.uniform(0.6, 1.6), rng.uniform(-0.3, 0.3))
+        t, w1 = tau * w2, lam * w2
+        if t.real > 0 and (w1 + w2 - t).real > 0:
+            pts.append((kernel, t, w1, w2))
+    for kernel in "gh":
+        for arg in (math.pi / 4, -math.pi / 4):
+            pts.append((kernel, 0.3 + 0.4j, 1e-4 * cmath.exp(1j * arg), 1.0))
+    return pts
+
+
+def test_q_series_matches_the_quadrature(monkeypatch):
+    # the kernels must answer every point without the extension walk, that
+    # is from the q-series, and agree with the quadrature oracle
+    def no_walk(*args):
+        raise AssertionError("the q-series declined")
+
+    monkeypatch.setattr(barnes, "_walk", no_walk)
+    for kernel, t, w1, w2 in _series_points():
+        got = (log_g if kernel == "g" else log_h)(t, w1, w2)
+        want = _oracle(kernel, t, w1, w2)
+        folded, winding = fold_2pii(got - want)
+        assert winding == 0, (kernel, t, w1, w2)
+        assert abs(folded) <= 1e-13 * max(1.0, abs(want)), (kernel, t, w1, w2)
+
+
+@pytest.mark.parametrize("lam", [0.25 - 2.5e-9j, 0.25 + 2.5e-9j, 0.2 + 1e-9j])
+def test_q_series_declines_where_its_sums_cancel(lam, monkeypatch):
+    # near real lam the two sums of log G grow to about 1e9 each and cancel
+    # to a value of order 0.05: the guard weighs the rounding of both sums
+    # against that value and hands the point to the quadrature
+    t = 0.3 + 0.4j
+    folded, winding = fold_2pii(log_g(t, lam, 1.0) - _oracle("g", t, lam, 1.0))
+    assert abs(folded) <= 1e-12 and winding == 0
+    got = log_g_highprec(t, lam, 1.0)
+    monkeypatch.setattr(barnes, "_q_series", lambda *args: None)
+    assert log_g_highprec(t, lam, 1.0) == got
 
 
 def test_nonperturbative_potential_is_log_g():

@@ -89,6 +89,14 @@ def test_barnes_eval_log_g(capsys):
     assert parse_complex(rep["results"]["value"]) != 0
 
 
+def test_barnes_eval_log_g_at_real_coupling_keeps_the_quadrature(capsys):
+    # a real coupling has no q-series; the README example keeps its bytes
+    code, rep = run_json(capsys, ["barnes", "eval", "--function", "log-g",
+                                  "--t", "0.3+0.4i", "--lam", "0.2"])
+    assert code == 0
+    assert rep["results"]["value"] == "-0.018806356849473294+0.055189355253817601i"
+
+
 def test_gw_eval_genus(capsys):
     code, rep = run_json(capsys, ["gw", "eval", "--genus", "2"])
     assert code == 0

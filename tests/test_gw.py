@@ -122,6 +122,13 @@ def test_difference_equation_report_contents():
     assert abs(rep["rhs_closed_form"] - cmath.log(1 - q)) < 1e-13
 
 
+@pytest.mark.parametrize("arg", [math.pi / 4, -math.pi / 4])
+def test_difference_equation_at_the_coupling_floor(arg):
+    # the smallest coupling check_coupling admits, answered by the q-series
+    rep = difference_equation_report(1e-6 * cmath.exp(1j * arg), T0)
+    assert abs(rep["residual"]) <= 1e-8 and rep["winding"] == 0
+
+
 def test_difference_equation_guard():
     with pytest.raises(DomainError):
         check_difference_equation(-0.1, T0)
@@ -157,15 +164,16 @@ def test_remainder_scan_guards():
 
 def test_results_do_not_depend_on_caller_precision():
     # barnes.working_precision owns the digits: the caller's mp.dps neither
-    # changes a result nor is changed by the call.  At this point the second
-    # difference winds 3 times, so a fold at the caller's precision loses
-    # the residual.
+    # changes a result nor is changed by the call.  At this point the
+    # q-series gives a second difference with winding 0; the real coupling
+    # 0.2 keeps the quadrature, and the cleared caches, under test.
     lam, t = 0.14 - 0.33j, -0.12 + 0.5j
 
     def run_all():
         barnes._laurent_coeffs.cache_clear()
         barnes._log_gamma_cached.cache_clear()
         return (barnes.log_g(T0, 0.1 + 0.1j, 1.0),
+                barnes.log_g(T0, 0.2, 1.0),
                 difference_equation_report(lam, t),
                 check_difference_equation(lam, t),
                 truncated_difference_residual(0.08, 0.35 + 0.35j, 2),
