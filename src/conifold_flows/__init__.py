@@ -78,6 +78,7 @@ from .lattice import (
     gauge_transform,
     integrate,
     plane_wave_frequency,
+    rk4,
     rk4_step,
 )
 from .disp import (
@@ -145,6 +146,7 @@ __all__ = [
     "Trajectory",
     "plane_wave_frequency",
     "al_rhs",
+    "rk4",
     "rk4_step",
     "conserved_quantity",
     "integrate",

@@ -30,9 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barnes import fold_2pii
 from .errors import (DomainError, GradientCatastropheError,
                      TruncationOrderError)
 from .gw import classical_potential
+from .lattice import rk4
 from .reporting import fmt_float, write_csv, write_json
 from .specfun import dense_log, dense_sqrt, polylog
 
@@ -272,14 +274,13 @@ def flow_generating_series(fields: DispersionlessFields, direction: str,
                                       _family_sign(direction)), order)
 
 
-def _flow_rhs_values(u, v, length: float, j: int, direction: str):
-    """Array form of flow_rhs on total field values u, v."""
+def _flow_coefficients(u, v, j: int, sign: float):
+    """(j [zeta^j] G_u, j [zeta^j] G_v), which drive the j-th flow."""
     if j < 1:
         raise DomainError("flow index must be a positive integer")
-    sign = _family_sign(direction)
     # coefficient j does not depend on the truncation above j
     g_u, g_v = _log_series(*_exponentials(u, v, sign), j)
-    return _flow_pair(j * g_u[j], j * g_v[j], length, sign)
+    return j * g_u[j], j * g_v[j]
 
 
 def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
@@ -289,8 +290,10 @@ def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
     with s_dir = +1 for the first family (z) and -1 for the second (zt).
     """
     length = fields.u.length
-    du, dv = _flow_rhs_values(fields.u.total_values(), fields.v.total_values(),
-                              length, j, direction)
+    sign = _family_sign(direction)
+    du, dv = _flow_pair(*_flow_coefficients(fields.u.total_values(),
+                                            fields.v.total_values(), j, sign),
+                        length, sign)
     return GridFunction(length, du), GridFunction(length, dv)
 
 
@@ -339,9 +342,12 @@ def _series_order(zeta0: complex, e, f) -> int:
 # Hamiltonian densities
 
 
-def _density_pointwise(zeta0: complex, u, v, sign: float):
-    """Scalar/array evaluation of the density generating function."""
+def _density_pointwise(zeta0: complex, u, v, sign: float, s_ref=None):
+    """Scalar/array evaluation of the density generating function.  Given
+    s_ref, at one point, S is whichever of +/-S is nearer to s_ref."""
     _, a, s = _closed_form(zeta0, u, v, sign)
+    if s_ref is not None and (s * np.conj(s_ref)).real < 0:
+        s = -s
     y = a / s
     if np.any(np.abs(1.0 - y * y) < _BRANCH_TOL):
         raise DomainError("density generating function: atanh argument at +/-1")
@@ -498,6 +504,24 @@ def _second_derivative_fd(fn, center, step):
     return (16.0 * fine - coarse) / 15.0
 
 
+def _stencil_step(zeta0: complex, u0: complex, v0: complex, sign: float):
+    """Finite-difference step for the stencils through (u0, v0): 5e-3, or an
+    eighth of the distance to the nearest zero of S^2 on the u or the v line
+    if smaller, so that the stencils (reaching twice the step) stay clear of
+    it.  Along the u line S^2 = A^2 - 4 zeta E F is linear in F = e^{-u};
+    along the v line it is zeta^2 E^2 + 2 zeta E (1 - 2F) + 1, quadratic in
+    E = e^{sign v}.  The zeros repeat with period 2 pi i."""
+    e = cmath.exp(sign * v0)
+    a = 1.0 + zeta0 * e
+    d_u = (abs(fold_2pii(u0 - cmath.log(4.0 * zeta0 * e / (a * a)))[0])
+           if a != 0 else math.inf)
+    b = 1.0 - 2.0 * cmath.exp(-u0)
+    root = cmath.sqrt(b * b - 1.0)
+    d_v = min(abs(fold_2pii(v0 - sign * cmath.log((-b + r) / zeta0))[0])
+              for r in (root, -root))
+    return min(5e-3, d_u / 8.0, d_v / 8.0)
+
+
 def check_density_constraint(direction: str = "z",
                              zeta0: complex = 0.15 + 0.1j,
                              seed: int = 7) -> dict:
@@ -508,8 +532,9 @@ def check_density_constraint(direction: str = "z",
     (equivalently c(u) = 1/(1 - e^u)); residuals for both candidate signs
     are reported alongside the empirically selected one, mirroring the
     both-sign reporting of the small-phase-space identification check.
-    Verified by finite differences (step 5e-3) at 20 random sample points
-    with Re u in [0.5, 2]."""
+    Verified by finite differences at 20 random sample points with Re u in
+    [0.5, 2], with step 5e-3 unless a zero of S^2 is near the stencil and
+    S continued from the centre of each stencil."""
     sign = _family_sign(direction)
     rng = np.random.default_rng(seed)
     pts = []
@@ -520,16 +545,20 @@ def check_density_constraint(direction: str = "z",
 
     def one(point):
         u0, v0 = point
+        _, _, s0 = _closed_form(zeta0, u0, v0, sign)
         g0 = _density_pointwise(zeta0, u0, v0, sign)
 
         def density(u, v):
-            # -i/2 log(...) jumps by pi across its cut: use the centre's sheet
-            g = _density_pointwise(zeta0, u, v, sign)
+            # S continues from the centre, where np.sqrt would flip it as S^2
+            # crosses the negative axis; and -i/2 log(...) jumps by pi across
+            # its cut, so use the centre's sheet
+            g = _density_pointwise(zeta0, u, v, sign, s0)
             return g - np.pi * np.round((g - g0).real / np.pi)
 
-        g_uu = _second_derivative_fd(lambda du: density(u0 + du, v0), 0.0, 5e-3)
-        g_vv = _second_derivative_fd(lambda dv: density(u0, v0 + dv), 0.0, 5e-3)
-        factor = 1.0 / (cmath.exp(u0) - 1.0)
+        step = _stencil_step(zeta0, u0, v0, sign)
+        g_uu = _second_derivative_fd(lambda du: density(u0 + du, v0), 0.0, step)
+        g_vv = _second_derivative_fd(lambda dv: density(u0, v0 + dv), 0.0, step)
+        factor = FrobeniusData.fppp(u0)
         scale = max(abs(g_uu), abs(factor * g_vv), 1e-300)
         return (abs(g_uu - factor * g_vv) / scale,
                 abs(g_uu + factor * g_vv) / scale)
@@ -563,71 +592,59 @@ def check_density_constraint(direction: str = "z",
 
 def evolve_dispersionless(fields: DispersionlessFields, j: int,
                           direction: str, T: float, dt: float = 1e-3,
-                          catastrophe_factor: float = 10.0,
-                          co_evolve_potential: bool = False):
-    """Fixed-step RK4 integration of the j-th flow up to time T.
+                          catastrophe_factor: float = 10.0):
+    """Fixed-step RK4 (`lattice.rk4`) of the j-th flow up to time T.
 
     Mean slopes of u and v are exactly conserved by the flow (the right
     sides are x-derivatives of periodic functions) and are carried through
     unchanged.  A growth of max|du/dx| beyond catastrophe_factor times its
     initial value aborts with a GradientCatastropheError carrying the
-    time reached.  With co_evolve_potential the auxiliary potential varpi
-    (u = -varpi'') is advanced alongside via the antiderivative of the
-    u-flow right side; only the first flow of the first family supports
-    this.
+    time reached.  An attached potential varpi (u = -varpi'') follows the
+    fields, for every flow of either family: d(varpi)/dt is the
+    x-antiderivative of -s_dir i c_u, where s_dir i d/dx c_u drives u.  It
+    needs a periodic u.
     """
     if not 0 < dt < math.inf:
         raise DomainError(f"time step dt = {dt} must be finite and positive")
     if not (T >= 0 and math.isfinite(T / dt)):
         raise DomainError(f"end time T = {T} must be finite and nonnegative")
-    if co_evolve_potential and (j != 1 or direction != "z"):
-        raise DomainError("potential co-evolution is defined for j=1, direction z")
-    if co_evolve_potential and fields.varpi is None:
-        raise DomainError("no potential attached to the fields")
-    if co_evolve_potential and fields.u.mean_slope != 0:
+    varpi = fields.varpi
+    if varpi is not None and fields.u.mean_slope != 0:
         raise DomainError("potential co-evolution needs a periodic u "
                           "(linear parts of u would require a cubic potential)")
 
+    sign = _family_sign(direction)
     length = fields.u.length
     su, sv = fields.u.mean_slope, fields.v.mean_slope
     xs = fields.u.nodes
 
     def rhs(state):
-        u, v = state[0] + su * xs, state[1] + sv * xs
-        du, dv = _flow_rhs_values(u, v, length, j, direction)
-        if not co_evolve_potential:
-            return du, dv
-        # d(varpi)/dt is the x-antiderivative of -(du/dt); its mean part
-        # advances the slope, the rest the periodic part
-        g = 1j * np.exp(v) * (1.0 - np.exp(-u))
-        g = -g  # antiderivative integrand fixed so that -d2/dx2 gives du
-        mu = np.mean(g)
-        dpot = spectral_antiderivative(g - mu, length)
-        return du, dv, dpot, mu
+        c_u, c_v = _flow_coefficients(state[0] + su * xs, state[1] + sv * xs,
+                                      j, sign)
+        du, dv = _flow_pair(c_u, c_v, length, sign)
+        return [du, dv] if varpi is None else [du, dv, -sign * 1j * c_u]
 
-    state = (fields.u.values, fields.v.values)
-    if co_evolve_potential:
-        state += (fields.varpi.periodic, fields.varpi.slope)
+    state = [fields.u.values, fields.v.values]
+    if varpi is not None:
+        state.append(np.zeros_like(fields.u.values))
 
     gradient0 = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
     steps = int(round(T / dt))
     t = 0.0
     for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(state, k1)))
-        k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(state, k2)))
-        k4 = rhs(tuple(a + dt * b for a, b in zip(state, k3)))
-        state = tuple(a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                      for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4))
+        state = rk4(rhs, state, dt)
         t += dt
         gnow = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
         if not math.isfinite(gnow) or gnow > catastrophe_factor * max(gradient0, 1e-300):
             raise GradientCatastropheError(
                 f"gradient growth {gnow:.3g} vs initial {gradient0:.3g}", time=t)
 
-    varpi = fields.varpi
-    if co_evolve_potential:
-        varpi = PotentialField(length, state[2], state[3], varpi.quad)
+    if varpi is not None:
+        # state[2] is the time integral of -s_dir i c_u: its mean advances
+        # the slope, its x-antiderivative the periodic part
+        mean = np.mean(state[2])
+        periodic = varpi.periodic + spectral_antiderivative(state[2] - mean, length)
+        varpi = PotentialField(length, periodic, varpi.slope + mean, varpi.quad)
     return DispersionlessFields(GridFunction(length, state[0], su),
                                 GridFunction(length, state[1], sv),
                                 varpi=varpi)

@@ -32,6 +32,7 @@ __all__ = [
     "PlaneWaveParams",
     "Trajectory",
     "al_rhs",
+    "rk4",
     "rk4_step",
     "integrate",
     "conserved_quantity",
@@ -123,15 +124,20 @@ def al_rhs(state: LatticeState):
     return _rhs_arrays(state.a, state.b)
 
 
+def rk4(f, y, dt: float) -> list:
+    """One classical RK4 step of dy/dt = f(y), the state y being a sequence
+    of arrays."""
+    k1 = f(y)
+    k2 = f([a + 0.5 * dt * k for a, k in zip(y, k1)])
+    k3 = f([a + 0.5 * dt * k for a, k in zip(y, k2)])
+    k4 = f([a + dt * k for a, k in zip(y, k3)])
+    return [a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
 def rk4_step(state: LatticeState, dt: float) -> LatticeState:
-    a, b = state.a, state.b
-    k1a, k1b = _rhs_arrays(a, b)
-    k2a, k2b = _rhs_arrays(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
-    k3a, k3b = _rhs_arrays(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
-    k4a, k4b = _rhs_arrays(a + dt * k3a, b + dt * k3b)
-    new_a = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    new_b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return LatticeState(new_a, new_b, state.time + dt)
+    a, b = rk4(lambda y: _rhs_arrays(*y), (state.a, state.b), dt)
+    return LatticeState(a, b, state.time + dt)
 
 
 def conserved_quantity(state: LatticeState) -> complex:

@@ -160,6 +160,13 @@ def test_disp_check_passes_at_large_zeta(capsys, grid, zeta):
     assert code == 0 and rep["status"] == "pass", rep["residuals"]
 
 
+def test_disp_check_passes_where_s_squared_nearly_vanishes(capsys):
+    # density_ht was 0.97 here: np.sqrt flipped S inside a stencil
+    code, rep = run_json(capsys, ["disp", "check",
+                                  "--zeta", "0.1853239794172302+0.5574117540771675i"])
+    assert code == 0 and rep["status"] == "pass", rep["residuals"]
+
+
 # ---------------------------------------------------------------------------
 # simulations
 

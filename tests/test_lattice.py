@@ -93,6 +93,34 @@ def test_rk4_order_under_halving():
     assert abs(order - 4.0) <= 0.2, order
 
 
+def test_rk4_step_matches_a_written_out_tableau_bitwise():
+    # an independent RK4 with its own right side, in the same arithmetic
+    # order, must reproduce the shared step to the bit
+    rng = np.random.default_rng(5)
+    n, dt = 64, 1e-3
+    a = 0.3 * (rng.random(n) - 0.5) + 0.2j * (rng.random(n) - 0.5)
+    b = 0.3 * (rng.random(n) - 0.5) - 0.2j * (rng.random(n) - 0.5)
+
+    def f(a, b):
+        factor = 1.0 - a * b
+        return (-1j * (np.roll(a, -1) + np.roll(a, 1)) * factor,
+                1j * (np.roll(b, -1) + np.roll(b, 1)) * factor)
+
+    state = LatticeState(a, b)
+    a0 = a
+    for _ in range(200):
+        k1a, k1b = f(a, b)
+        k2a, k2b = f(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
+        k3a, k3b = f(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
+        k4a, k4b = f(a + dt * k3a, b + dt * k3b)
+        a = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        state = rk4_step(state, dt)
+    assert np.max(np.abs(a - a0)) > 1e-3  # the state moved
+    assert np.array_equal(state.a, a) and np.array_equal(state.b, b)
+    assert state.time == pytest.approx(200 * dt)
+
+
 def test_time_reversibility():
     pw = _pw()
     fwd = integrate(pw.state_at(0.0), steps=200, dt=1e-3, sample_every=200)
