@@ -9,8 +9,16 @@ functions are
     G_v = log((1 - zeta E + S)/2),     G_u = log((1 + zeta E + S)/2)
 
 and the j-th flow right side is +/- i d/dx of j times the zeta^j
-coefficient.  The same data packages into Hamiltonian form: the density
-generating function is
+coefficient.  These coefficients are Legendre polynomials: with w = zeta E
+and x = 2F - 1 = 2e^{-u} - 1, S^2 = 1 - 2xw + w^2, so 1/S = sum_n P_n(x) w^n;
+and differentiating the logarithms gives w dG_u/dw = 1/2 + (w - 1)/(2S) and
+w dG_v/dw = 1/2 - (w + 1)/(2S).  Hence
+
+    j [zeta^j] G_u = E^j (P_{j-1}(x) - P_j(x))/2,
+    j [zeta^j] G_v = -E^j (P_{j-1}(x) + P_j(x))/2,
+
+with P_n from Bonnet's recurrence.  The same data packages into
+Hamiltonian form: the density generating function is
 
     h(zeta; u, v) = -i atanh((1 + zeta E)/S)
 
@@ -36,7 +44,7 @@ from .errors import (DomainError, GradientCatastropheError,
 from .gw import classical_potential
 from .lattice import rk4
 from .reporting import fmt_float, write_csv, write_json
-from .specfun import dense_log, dense_sqrt, polylog
+from .specfun import polylog
 
 __all__ = [
     "spectral_derivative",
@@ -239,21 +247,21 @@ def _closed_form(zeta0: complex, u, v, sign: float):
     return e, a, np.sqrt(s2)
 
 
-def _padded(coeffs, order: int):
-    """Polynomial coefficients as a dense series truncated at zeta^order."""
-    zero = np.zeros_like(coeffs[0])
-    return (coeffs + [zero] * order)[:order + 1]
-
-
-def _log_series(e, f, order: int):
-    """Dense zeta-series of G_u and G_v to the given order."""
-    one = np.ones_like(e)
-    s = dense_sqrt(_padded([one, 2.0 * e - 4.0 * e * f, e * e], order))
-    g_u = dense_log([(a + b) * 0.5
-                     for a, b in zip(_padded([one, e], order), s)])
-    g_v = dense_log([(a + b) * 0.5
-                     for a, b in zip(_padded([one, -e], order), s)])
-    return g_u, g_v
+def _flow_series(e, f, order: int):
+    """Lists of j [zeta^j] G_u and j [zeta^j] G_v for j = 1..order, from
+    the Legendre form of the module docstring; Bonnet's recurrence
+    (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1} runs forward, the stable
+    direction for P_n."""
+    x = 2.0 * f - 1.0
+    p_prev, p = np.ones_like(x), x
+    e_j = e
+    c_u, c_v = [], []
+    for n in range(1, order + 1):
+        c_u.append(0.5 * e_j * (p_prev - p))
+        c_v.append(-0.5 * e_j * (p_prev + p))
+        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        e_j = e_j * e
+    return c_u, c_v
 
 
 def _flow_pair(c_u, c_v, length: float, sign: float):
@@ -262,25 +270,30 @@ def _flow_pair(c_u, c_v, length: float, sign: float):
             1j * spectral_derivative(c_v, length))
 
 
+def _fields_series(fields: DispersionlessFields, sign: float, order: int):
+    """`_flow_series` on the total values of the fields."""
+    if order < 1:
+        raise TruncationOrderError("expansion order must be at least 1")
+    return _flow_series(*_exponentials(fields.u.total_values(),
+                                       fields.v.total_values(), sign), order)
+
+
 def flow_generating_series(fields: DispersionlessFields, direction: str,
                            order: int):
     """Expansions of the two log generating functions up to the given
     order; returns (G_u, G_v) as lists of grid arrays, entry j being the
-    zeta^j coefficient."""
-    if order < 1:
-        raise TruncationOrderError("expansion order must be at least 1")
-    return _log_series(*_exponentials(fields.u.total_values(),
-                                      fields.v.total_values(),
-                                      _family_sign(direction)), order)
+    zeta^j coefficient (entry 0 is zero)."""
+    c_u, c_v = _fields_series(fields, _family_sign(direction), order)
+    return ([np.zeros_like(c_u[0])] + [c / j for j, c in enumerate(c_u, 1)],
+            [np.zeros_like(c_v[0])] + [c / j for j, c in enumerate(c_v, 1)])
 
 
 def _flow_coefficients(u, v, j: int, sign: float):
     """(j [zeta^j] G_u, j [zeta^j] G_v), which drive the j-th flow."""
     if j < 1:
         raise DomainError("flow index must be a positive integer")
-    # coefficient j does not depend on the truncation above j
-    g_u, g_v = _log_series(*_exponentials(u, v, sign), j)
-    return j * g_u[j], j * g_v[j]
+    c_u, c_v = _flow_series(*_exponentials(u, v, sign), j)
+    return c_u[-1], c_v[-1]
 
 
 def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
@@ -301,14 +314,15 @@ def recombined_flow(zeta0: complex, fields: DispersionlessFields,
                     direction: str, jmax: int):
     """Sum_{j=1..jmax} zeta0^j (du_j, dv_j): the grouped flow that the
     Hamiltonian form generates in one stroke."""
-    g_u, g_v = flow_generating_series(fields, direction, jmax)
     z = complex(zeta0)
     if not jmax * math.log(abs(z) or 1.0) < math.log(sys.float_info.max):
         raise DomainError(f"zeta = {z} overflows at power jmax = {jmax}")
-    acc_u = sum((z ** j) * j * g_u[j] for j in range(1, jmax + 1))
-    acc_v = sum((z ** j) * j * g_v[j] for j in range(1, jmax + 1))
+    sign = _family_sign(direction)
+    c_u, c_v = _fields_series(fields, sign, jmax)
+    acc_u = sum(z ** j * c for j, c in enumerate(c_u, 1))
+    acc_v = sum(z ** j * c for j, c in enumerate(c_v, 1))
     length = fields.u.length
-    du, dv = _flow_pair(acc_u, acc_v, length, _family_sign(direction))
+    du, dv = _flow_pair(acc_u, acc_v, length, sign)
     return GridFunction(length, du), GridFunction(length, dv)
 
 
@@ -320,13 +334,13 @@ def _series_order(zeta0: complex, e, f) -> int:
     """Smallest j with rho^j/(1 - rho) <= 1e-10: the tail past zeta^j
     relative to the leading term, two decades under the finite-difference
     floor.  rho = |zeta0|/R, with R the distance to the nearest zero of
-    S^2 = E^2 zeta^2 + 2E(1 - 2F) zeta + 1 on the grid; for F != 1 these
-    zeros are the only singularities of the generating functions."""
-    b = 1.0 - 2.0 * f
-    root = np.sqrt(b * b - 1.0)
-    # the zeros are -(b -/+ root)/E with product 1/E^2, so the nearer one
-    # has modulus 1/(|E| max|b -/+ root|)
-    far = np.maximum(np.abs(b + root), np.abs(b - root))
+    S^2 = E^2 zeta^2 - 2xE zeta + 1 (x = 2F - 1) on the grid; for F != 1
+    these zeros are the only singularities of the generating functions."""
+    x = 2.0 * f - 1.0
+    root = np.sqrt(x * x - 1.0)
+    # the zeros are (x +/- root)/E with product 1/E^2, so the nearer one
+    # has modulus 1/(|E| max|x +/- root|)
+    far = np.maximum(np.abs(x - root), np.abs(x + root))
     rho = abs(zeta0) * float(np.max(np.abs(e) * far))
     if rho < 1:
         for order in range(1, _MAX_SERIES_ORDER + 1):
@@ -590,24 +604,32 @@ def check_density_constraint(direction: str = "z",
 # time evolution
 
 
+_CATASTROPHE_FACTOR = 10.0
+
+
 def evolve_dispersionless(fields: DispersionlessFields, j: int,
-                          direction: str, T: float, dt: float = 1e-3,
-                          catastrophe_factor: float = 10.0):
-    """Fixed-step RK4 (`lattice.rk4`) of the j-th flow up to time T.
+                          direction: str, T: float, dt: float = 1e-3):
+    """Fixed-step RK4 (`lattice.rk4`) of the j-th flow up to time T, which
+    must be a whole number of steps dt.
 
     Mean slopes of u and v are exactly conserved by the flow (the right
     sides are x-derivatives of periodic functions) and are carried through
-    unchanged.  A growth of max|du/dx| beyond catastrophe_factor times its
-    initial value aborts with a GradientCatastropheError carrying the
-    time reached.  An attached potential varpi (u = -varpi'') follows the
-    fields, for every flow of either family: d(varpi)/dt is the
-    x-antiderivative of -s_dir i c_u, where s_dir i d/dx c_u drives u.  It
-    needs a periodic u.
+    unchanged.  A growth of max|du/dx| beyond ten times its initial value
+    aborts with a GradientCatastropheError carrying the time reached.  An
+    attached potential varpi (u = -varpi'') follows the fields, for every
+    flow of either family: d(varpi)/dt is the x-antiderivative of
+    -s_dir i c_u, where s_dir i d/dx c_u drives u.  It needs a periodic u.
     """
     if not 0 < dt < math.inf:
         raise DomainError(f"time step dt = {dt} must be finite and positive")
     if not (T >= 0 and math.isfinite(T / dt)):
         raise DomainError(f"end time T = {T} must be finite and nonnegative")
+    if j < 1:
+        raise DomainError("flow index must be a positive integer")
+    steps = round(T / dt)
+    if abs(steps * dt - T) > 1e-9 * max(T, dt):
+        raise DomainError(f"end time T = {T} is not a whole number of "
+                          f"time steps dt = {dt}")
     varpi = fields.varpi
     if varpi is not None and fields.u.mean_slope != 0:
         raise DomainError("potential co-evolution needs a periodic u "
@@ -629,13 +651,13 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
         state.append(np.zeros_like(fields.u.values))
 
     gradient0 = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
-    steps = int(round(T / dt))
+    limit = _CATASTROPHE_FACTOR * max(gradient0, 1e-300)
     t = 0.0
     for _ in range(steps):
         state = rk4(rhs, state, dt)
         t += dt
         gnow = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
-        if not math.isfinite(gnow) or gnow > catastrophe_factor * max(gradient0, 1e-300):
+        if not math.isfinite(gnow) or gnow > limit:
             raise GradientCatastropheError(
                 f"gradient growth {gnow:.3g} vs initial {gradient0:.3g}", time=t)
 

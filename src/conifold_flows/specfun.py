@@ -28,9 +28,7 @@ from .errors import DomainError, PoleError
 __all__ = [
     "bernoulli_number",
     "bernoulli_egf",
-    "dense_log",
     "dense_mul",
-    "dense_sqrt",
     "gen_bernoulli",
     "is_mp",
     "polylog",
@@ -64,9 +62,6 @@ def bernoulli_number(k: int) -> Fraction:
 #
 # A list c[0..n] stands for c_0 + c_1 x + ... + c_n x^n mod x^(n+1).
 
-# |c_0| below this is a branch point of the square root and the logarithm
-_BRANCH_TOL = 1e-12
-
 
 def dense_mul(a, b):
     """Truncated product of two dense series, to the shorter length.
@@ -82,39 +77,6 @@ def dense_mul(a, b):
             continue
         for j in range(n - i):
             out[i + j] = out[i + j] + ai * b[j]
-    return out
-
-
-def dense_sqrt(c):
-    """Square root of a dense series with complex (scalar or array)
-    coefficients, on the principal branch at the constant term, which must
-    be bounded away from zero."""
-    c0 = c[0]
-    if np.any(np.abs(c0) < _BRANCH_TOL):
-        raise DomainError("square-root expansion hits a branch point")
-    s0 = np.sqrt(c0)
-    out = [s0]
-    for k in range(1, len(c)):
-        acc = c[k]
-        for i in range(1, k):
-            acc = acc - out[i] * out[k - i]
-        out.append(acc / (2.0 * s0))
-    return out
-
-
-def dense_log(c):
-    """Logarithm of a dense series with complex (scalar or array)
-    coefficients, on the principal branch at the constant term, which must
-    be bounded away from zero."""
-    c0 = c[0]
-    if np.any(np.abs(c0) < _BRANCH_TOL):
-        raise DomainError("log expansion hits a branch point")
-    out = [np.log(c0)]
-    for k in range(1, len(c)):
-        acc = c[k]
-        for i in range(1, k):
-            acc = acc - (float(k - i) / k) * c[i] * out[k - i]
-        out.append(acc / c0)
     return out
 
 

@@ -264,6 +264,8 @@ def test_reports_are_byte_identical(tmp_path):
     (["disp", "run", "--T", "inf"], "T = inf"),
     (["disp", "run", "--dt", "nan"], "dt = nan"),
     (["disp", "run", "--length", "nan"], "length"),
+    (["disp", "run", "--flow", "0", "--T", "0.0004"], "flow index"),
+    (["disp", "run", "--T", "0.0016"], "T = 0.0016"),
     (["disp", "check", "--zeta", "1e200"], "zeta"),
     (["disp", "check", "--zeta", "0.8"], "zeta"),
     (["gw", "scan-asymptotics", "--eps", "0.1,0.1", "--points", "2"], "eps"),
@@ -279,6 +281,7 @@ def test_reports_are_byte_identical(tmp_path):
      "tolerance"),
     (["gw", "check-diff", "--quad-tol", "inf"], "tolerance"),
 ], ids=["disp-run-T-inf", "disp-run-dt-nan", "disp-run-length-nan",
+        "disp-run-flow-0", "disp-run-T-not-whole-steps",
         "disp-check-zeta-1e200", "disp-check-zeta-0.8", "gw-scan-equal-eps",
         "gw-potential-lam-0", "gw-potential-lam-1e-200",
         "barnes-log-g-lam-1e-200", "al-run-dt-nan", "barnes-log-h-quad-tol-neg",
