@@ -289,6 +289,10 @@ def _cmd_al_run(args) -> dict:
 
 
 def _initial_fields(n: int, length: float, seed: int):
+    if not 0 < length < math.inf:
+        raise DomainError(f"grid length {length} must be finite and positive")
+    if n < 4:
+        raise DomainError(f"grid of {n} points: need at least four")
     rng = np.random.default_rng(seed)
     x = np.arange(n) * (length / n)
     tp = 2.0 * math.pi / length
@@ -484,6 +488,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags already; normalize other codes
         return _EXIT_ERROR if exc.code not in (0,) else 0
     try:
+        # the pass/fail thresholds; --quad-tol is checked where it is used
+        for name in ("tol", "drift_tol", "band"):
+            value = getattr(args, name, None)
+            if value is not None and not 0 < value < math.inf:
+                raise DomainError(f"--{name.replace('_', '-')} = {value} "
+                                  "must be finite and positive")
         report = args.handler(args)
     except (DomainError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ derivative is pseudo-spectral on the periodic part.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,19 +72,25 @@ __all__ = [
 
 _BRANCH_TOL = 1e-12
 _COMMENSURATE_TOL = 1e-9
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
 # spatial grid
 
 
+@functools.lru_cache(maxsize=16)
 def _wavenumbers(n: int, length: float) -> np.ndarray:
-    return 2j * math.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+    ik = 2j * math.pi * np.fft.fftfreq(n, d=1.0 / n) / length
+    ik.flags.writeable = False  # shared by every caller
+    return ik
 
 
 def spectral_derivative(values: np.ndarray, length: float) -> np.ndarray:
+    """d/dx of periodic samples on [0, length), along the last axis, so that
+    a stack of fields is differentiated row by row in one transform."""
     vals = np.asarray(values, dtype=complex)
-    return np.fft.ifft(_wavenumbers(vals.size, length) * np.fft.fft(vals))
+    return np.fft.ifft(_wavenumbers(vals.shape[-1], length) * np.fft.fft(vals))
 
 
 def spectral_antiderivative(values: np.ndarray, length: float) -> np.ndarray:
@@ -173,7 +180,8 @@ class DispersionlessFields:
 def u_from_r(r: GridFunction) -> GridFunction:
     """u = -log(1 - e^{2r}), principal branch, elementwise on totals."""
     vals = np.exp(2.0 * r.total_values())
-    if np.any(np.abs(1.0 - vals) < _BRANCH_TOL):
+    # fmin skips NaN, as the elementwise comparison does
+    if np.fmin.reduce(np.abs(1.0 - vals)) < _BRANCH_TOL:
         raise DomainError("branch guard: exp(2r) = 1 on the grid")
     return GridFunction(r.length, -np.log(1.0 - vals))
 
@@ -215,9 +223,9 @@ def _exp_minus_u(u):
     """F = e^{-u} from total values of u, rejecting overflow and the branch
     point F = 1."""
     f = np.exp(-u)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise DomainError("exp(-u) overflows on the grid")
-    if np.any(np.abs(1.0 - f) < _BRANCH_TOL):
+    if np.abs(1.0 - f).min() < _BRANCH_TOL:
         raise DomainError("branch guard: exp(-u) = 1 on the grid")
     return f
 
@@ -226,7 +234,7 @@ def _exponentials(u, v, sign: float):
     """E = e^{sign v} and F = e^{-u} from total field values, with the
     overflow and branch guards every flow evaluation needs."""
     e = np.exp(v if sign > 0 else -v)
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise DomainError("field exponentials overflow on the grid")
     return e, _exp_minus_u(u)
 
@@ -241,41 +249,53 @@ def _closed_form(zeta0: complex, u, v, sign: float):
     a = 1.0 + zeta0 * e
     s2 = a * a - 4.0 * zeta0 * e * f
     size = np.abs(s2)
-    if not np.all((size >= _BRANCH_TOL) & (size < math.inf)):
+    if not (size.min() >= _BRANCH_TOL and size.max() < math.inf):
         raise DomainError("closed form: S^2 vanishes or an exponential "
                           "overflows on the grid")
     return e, a, np.sqrt(s2)
 
 
-def _flow_series(e, f, order: int):
-    """Lists of j [zeta^j] G_u and j [zeta^j] G_v for j = 1..order, from
-    the Legendre form of the module docstring; Bonnet's recurrence
+def _legendre_terms(e, f, order: int):
+    """E^n, P_{n-1}(x) and P_n(x) for n = 1..order, with x = 2F - 1, for
+    the Legendre form of the module docstring.  Bonnet's recurrence
     (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1} runs forward, the stable
     direction for P_n."""
+    # |E^n| = |E|^n, so the top power decides whether any overflows; it is
+    # tested before the powers are formed, with room for their rounding
+    if order > 1 and (order * math.log(max(np.abs(e).max(), 1.0))
+                      > _LOG_FLOAT_MAX - 1):
+        raise DomainError(f"E^{order} overflows on the grid: flow order {order} "
+                          "is out of the float range of these fields")
     x = 2.0 * f - 1.0
-    p_prev, p = np.ones_like(x), x
-    e_j = e
-    c_u, c_v = [], []
-    for n in range(1, order + 1):
-        c_u.append(0.5 * e_j * (p_prev - p))
-        c_v.append(-0.5 * e_j * (p_prev + p))
+    e_n, p_prev, p = e, np.ones_like(x), x
+    yield e_n, p_prev, p
+    for n in range(1, order):
         p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-        e_j = e_j * e
-    return c_u, c_v
+        e_n = e_n * e
+        yield e_n, p_prev, p
+
+
+def _coefficients(e_n, p_prev, p):
+    """(n [zeta^n] G_u, n [zeta^n] G_v) from E^n, P_{n-1}(x) and P_n(x)."""
+    return 0.5 * e_n * (p_prev - p), -0.5 * e_n * (p_prev + p)
 
 
 def _flow_pair(c_u, c_v, length: float, sign: float):
-    """(sign * i d/dx c_u, i d/dx c_v): a flow from its zeta-coefficients."""
-    return (sign * 1j * spectral_derivative(c_u, length),
-            1j * spectral_derivative(c_v, length))
+    """(sign * i d/dx c_u, i d/dx c_v): a flow from its zeta-coefficients,
+    both rows through one transform pair."""
+    d_u, d_v = spectral_derivative(np.stack((c_u, c_v)), length)
+    return sign * 1j * d_u, 1j * d_v
 
 
-def _fields_series(fields: DispersionlessFields, sign: float, order: int):
-    """`_flow_series` on the total values of the fields."""
+def _flow_series(fields: DispersionlessFields, sign: float, order: int):
+    """Tuples of j [zeta^j] G_u and j [zeta^j] G_v for j = 1..order, on the
+    total values of the fields."""
     if order < 1:
         raise TruncationOrderError("expansion order must be at least 1")
-    return _flow_series(*_exponentials(fields.u.total_values(),
-                                       fields.v.total_values(), sign), order)
+    terms = _legendre_terms(*_exponentials(fields.u.total_values(),
+                                           fields.v.total_values(), sign), order)
+    c_u, c_v = zip(*(_coefficients(*t) for t in terms))
+    return c_u, c_v
 
 
 def flow_generating_series(fields: DispersionlessFields, direction: str,
@@ -283,7 +303,7 @@ def flow_generating_series(fields: DispersionlessFields, direction: str,
     """Expansions of the two log generating functions up to the given
     order; returns (G_u, G_v) as lists of grid arrays, entry j being the
     zeta^j coefficient (entry 0 is zero)."""
-    c_u, c_v = _fields_series(fields, _family_sign(direction), order)
+    c_u, c_v = _flow_series(fields, _family_sign(direction), order)
     return ([np.zeros_like(c_u[0])] + [c / j for j, c in enumerate(c_u, 1)],
             [np.zeros_like(c_v[0])] + [c / j for j, c in enumerate(c_v, 1)])
 
@@ -292,8 +312,8 @@ def _flow_coefficients(u, v, j: int, sign: float):
     """(j [zeta^j] G_u, j [zeta^j] G_v), which drive the j-th flow."""
     if j < 1:
         raise DomainError("flow index must be a positive integer")
-    c_u, c_v = _flow_series(*_exponentials(u, v, sign), j)
-    return c_u[-1], c_v[-1]
+    *_, last = _legendre_terms(*_exponentials(u, v, sign), j)
+    return _coefficients(*last)
 
 
 def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
@@ -315,10 +335,10 @@ def recombined_flow(zeta0: complex, fields: DispersionlessFields,
     """Sum_{j=1..jmax} zeta0^j (du_j, dv_j): the grouped flow that the
     Hamiltonian form generates in one stroke."""
     z = complex(zeta0)
-    if not jmax * math.log(abs(z) or 1.0) < math.log(sys.float_info.max):
+    if not jmax * math.log(abs(z) or 1.0) < _LOG_FLOAT_MAX:
         raise DomainError(f"zeta = {z} overflows at power jmax = {jmax}")
     sign = _family_sign(direction)
-    c_u, c_v = _fields_series(fields, sign, jmax)
+    c_u, c_v = _flow_series(fields, sign, jmax)
     acc_u = sum(z ** j * c for j, c in enumerate(c_u, 1))
     acc_v = sum(z ** j * c for j, c in enumerate(c_v, 1))
     length = fields.u.length
@@ -363,7 +383,7 @@ def _density_pointwise(zeta0: complex, u, v, sign: float, s_ref=None):
     if s_ref is not None and (s * np.conj(s_ref)).real < 0:
         s = -s
     y = a / s
-    if np.any(np.abs(1.0 - y * y) < _BRANCH_TOL):
+    if np.abs(1.0 - y * y).min() < _BRANCH_TOL:
         raise DomainError("density generating function: atanh argument at +/-1")
     return -1j * 0.5 * np.log((1.0 + y) / (1.0 - y))
 
@@ -640,8 +660,11 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
     su, sv = fields.u.mean_slope, fields.v.mean_slope
     xs = fields.u.nodes
 
+    def total(values, slope):
+        return values if slope == 0 else values + slope * xs
+
     def rhs(state):
-        c_u, c_v = _flow_coefficients(state[0] + su * xs, state[1] + sv * xs,
+        c_u, c_v = _flow_coefficients(total(state[0], su), total(state[1], sv),
                                       j, sign)
         du, dv = _flow_pair(c_u, c_v, length, sign)
         return [du, dv] if varpi is None else [du, dv, -sign * 1j * c_u]

@@ -5,9 +5,10 @@ The state is a pair of complex fields a_n, b_n on Z/NZ evolving under
     da_n/dt = -i (a_{n+1} + a_{n-1}) (1 - a_n b_n)
     db_n/dt = +i (b_{n+1} + b_{n-1}) (1 - a_n b_n)
 
-with fixed-step fourth-order Runge-Kutta time stepping.  The product
-C0 = sum_n log(1 - a_n b_n) is a first integral and is tracked along
-trajectories as an accuracy diagnostic.  Plane waves
+with fixed-step fourth-order Runge-Kutta time stepping; the neighbour sums
+a_{n+1} + a_{n-1} are taken by slices, the two wrap-around sites apart.
+The product C0 = sum_n log(1 - a_n b_n) is a first integral and is tracked
+along trajectories as an accuracy diagnostic.  Plane waves
 
     a_n = A exp(i (k n - w t)),   b_n = B exp(-i (k n - w t))
 
@@ -108,15 +109,25 @@ class PlaneWaveParams:
                             float(t))
 
 
+def _neighbours(a: np.ndarray, phase: complex, factor: np.ndarray):
+    """phase * (a_{n+1} + a_{n-1}) * factor on the ring, by slices."""
+    buf = np.empty_like(a)
+    np.add(a[2:], a[:-2], out=buf[1:-1])
+    buf[0] = a[1] + a[-1]
+    buf[-1] = a[0] + a[-2]
+    buf *= phase
+    buf *= factor
+    return buf
+
+
 def _rhs_arrays(a: np.ndarray, b: np.ndarray):
     factor = 1.0 - a * b
-    if np.any(np.abs(factor) < _SINGULAR_TOL):
-        bad = int(np.argmin(np.abs(factor)))
+    size = np.abs(factor)
+    # fmin skips NaN, as the elementwise comparison does
+    if np.fmin.reduce(size) < _SINGULAR_TOL:
         raise SingularStateError(
-            f"state reached the singular locus a*b = 1 at site {bad}")
-    da = -1j * (np.roll(a, -1) + np.roll(a, 1)) * factor
-    db = 1j * (np.roll(b, -1) + np.roll(b, 1)) * factor
-    return da, db
+            f"state reached the singular locus a*b = 1 at site {int(size.argmin())}")
+    return _neighbours(a, -1j, factor), _neighbours(b, 1j, factor)
 
 
 def al_rhs(state: LatticeState):
@@ -143,7 +154,7 @@ def rk4_step(state: LatticeState, dt: float) -> LatticeState:
 def conserved_quantity(state: LatticeState) -> complex:
     """C0 = sum_n log(1 - a_n b_n), the logarithm of the conserved product."""
     factor = 1.0 - state.a * state.b
-    if np.any(np.abs(factor) < _SINGULAR_TOL):
+    if np.fmin.reduce(np.abs(factor)) < _SINGULAR_TOL:
         raise SingularStateError("conserved quantity undefined on the singular locus")
     c0 = complex(np.sum(np.log(factor)))
     if not cmath.isfinite(c0):

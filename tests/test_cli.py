@@ -264,6 +264,11 @@ def test_reports_are_byte_identical(tmp_path):
     (["disp", "run", "--T", "inf"], "T = inf"),
     (["disp", "run", "--dt", "nan"], "dt = nan"),
     (["disp", "run", "--length", "nan"], "length"),
+    (["disp", "run", "--grid", "64", "--T", "0.05", "--dt", "5e-4",
+      "--length", "0"], "length"),
+    (["disp", "run", "--length", "inf"], "length"),
+    (["disp", "check", "--length", "0"], "length"),
+    (["disp", "run", "--grid", "0"], "four"),
     (["disp", "run", "--flow", "0", "--T", "0.0004"], "flow index"),
     (["disp", "run", "--T", "0.0016"], "T = 0.0016"),
     (["disp", "check", "--zeta", "1e200"], "zeta"),
@@ -280,15 +285,29 @@ def test_reports_are_byte_identical(tmp_path):
     (["barnes", "eval", "--function", "log-sine", "--quad-tol", "nan"],
      "tolerance"),
     (["gw", "check-diff", "--quad-tol", "inf"], "tolerance"),
+    (["disp", "check", "--tol", "nan"], "--tol"),
+    (["hirota", "check", "--tol", "nan"], "--tol"),
+    (["disp", "check", "--tol", "-1"], "--tol"),
+    (["gw", "check-diff", "--tol", "-1"], "--tol"),
+    (["al", "run", "--N", "8", "--planewave", "A=0.3,B=0.2,mode=1",
+      "--drift-tol", "0"], "--drift-tol"),
+    (["gw", "scan-asymptotics", "--band", "inf"], "--band"),
 ], ids=["disp-run-T-inf", "disp-run-dt-nan", "disp-run-length-nan",
+        "disp-run-length-0", "disp-run-length-inf", "disp-check-length-0",
+        "disp-run-grid-0",
         "disp-run-flow-0", "disp-run-T-not-whole-steps",
         "disp-check-zeta-1e200", "disp-check-zeta-0.8", "gw-scan-equal-eps",
         "gw-potential-lam-0", "gw-potential-lam-1e-200",
         "barnes-log-g-lam-1e-200", "al-run-dt-nan", "barnes-log-h-quad-tol-neg",
         "barnes-log-g-quad-tol-0", "barnes-log-sine-quad-tol-nan",
-        "gw-check-diff-quad-tol-inf"])
+        "gw-check-diff-quad-tol-inf", "disp-check-tol-nan",
+        "hirota-check-tol-nan", "disp-check-tol-neg", "gw-check-diff-tol-neg",
+        "al-run-drift-tol-0", "gw-scan-band-inf"])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv, names):
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not caught, [str(w.message) for w in caught]
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -9,12 +9,14 @@ import cmath
 import csv
 import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conifold_flows import DomainError, GradientCatastropheError, TruncationOrderError
+from conifold_flows import (DomainError, GradientCatastropheError,
+                            TruncationOrderError, disp)
 from conifold_flows.disp import (
     DispersionlessFields,
     FrobeniusData,
@@ -91,6 +93,22 @@ def test_spectral_derivative_on_trig_polynomial():
     want2 = -tp**2 * np.cos(tp * x) - 4.5 * tp**2 * np.sin(3 * tp * x)
     second = spectral_derivative(spectral_derivative(f.values, L), L)
     assert np.max(np.abs(second - want2)) < 1e-11
+
+
+def test_spectral_derivative_of_a_stack_is_row_by_row_bitwise():
+    rng = np.random.default_rng(8)
+    rows = rng.random((2, N)) + 1j * rng.random((2, N))
+    both = spectral_derivative(rows, L)
+    assert both.shape == (2, N)
+    for row, d_row in zip(rows, both):
+        assert np.array_equal(d_row, spectral_derivative(row, L))
+
+
+def test_cached_wavenumbers_are_read_only():
+    ik = disp._wavenumbers(N, L)
+    assert ik is disp._wavenumbers(N, L)
+    with pytest.raises(ValueError):
+        ik[1] = 0.0
 
 
 def test_grid_function_slope_bookkeeping():
@@ -299,6 +317,26 @@ def test_flow_guards():
         # overflow guard on exp(-u)
         DispersionlessFields(GridFunction(L, np.full(N, -1e4)),
                              GridFunction(L, np.zeros(N)))
+
+
+@pytest.mark.parametrize("direction", ["z", "zt"])
+def test_overflowing_power_of_e_names_the_flow_order(direction):
+    # E = e^{+/-v} is finite at |v| = 300, but E^3 is not: each route to the
+    # third flow raises instead of returning NaN, and numpy never warns
+    x = np.arange(N) * (L / N)
+    v = 300.0 + 0.1 * np.sin(math.pi * x)
+    fields = DispersionlessFields(
+        GridFunction(L, 1.0 + 0.05 * np.cos(math.pi * x)),
+        GridFunction(L, v if direction == "z" else -v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow_rhs(fields, 2, direction)  # E^2 is still in range
+        for call in (lambda: flow_rhs(fields, 3, direction),
+                     lambda: recombined_flow(1e-200, fields, direction, 3),
+                     lambda: evolve_dispersionless(fields, 3, direction,
+                                                   T=1e-3, dt=1e-3)):
+            with pytest.raises(DomainError, match="flow order 3"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +549,45 @@ def test_mirror_trajectory_is_exact_time_reversal():
     u_m, v_m = rk4(fields.u.values, -fields.v.values, "zt", -h, 100)
     assert np.max(np.abs(u_m - u_T)) == 0.0
     assert np.max(np.abs(v_m + v_T)) == 0.0
+
+
+@pytest.mark.parametrize("direction", ["z", "zt"])
+@pytest.mark.parametrize("j", [1, 4])
+def test_evolution_matches_a_written_out_stage_bitwise(j, direction):
+    # an independent RK4 of the j-th flow, with its own transforms, a fresh
+    # wavenumber grid and the whole coefficient list, in the same arithmetic
+    # order, must reproduce ten steps of the shared stage to the bit
+    fields = _fields(seed=13, amp=0.08)
+    sign = 1.0 if direction == "z" else -1.0
+    dt = 5e-4
+
+    def ddx(c):
+        ik = 2j * math.pi * np.fft.fftfreq(N, d=1.0 / N) / L
+        return np.fft.ifft(ik * np.fft.fft(c))
+
+    def f(u, v):
+        e = np.exp(v if sign > 0 else -v)
+        x = 2.0 * np.exp(-u) - 1.0
+        p_prev, p, e_n = np.ones_like(x), x, e
+        c_u, c_v = [], []
+        for n in range(1, j + 1):
+            c_u.append(0.5 * e_n * (p_prev - p))
+            c_v.append(-0.5 * e_n * (p_prev + p))
+            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+            e_n = e_n * e
+        return sign * 1j * ddx(c_u[-1]), 1j * ddx(c_v[-1])
+
+    u, v = fields.u.values, fields.v.values
+    for _ in range(10):
+        k1u, k1v = f(u, v)
+        k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    out = evolve_dispersionless(fields, j, direction, T=10 * dt, dt=dt)
+    assert np.max(np.abs(u - fields.u.values)) > 1e-6  # the state moved
+    assert np.array_equal(out.u.values, u) and np.array_equal(out.v.values, v)
 
 
 def test_gradient_catastrophe_detection():
