@@ -14,12 +14,15 @@ gamma; multiple sines combine two gamma values; the kernels ``log_h`` and
 first/second difference equations which are also used to extend evaluation
 outside the strip where the integral representation converges.
 
-All heavy arithmetic runs in mpmath at a working precision derived from
-the requested quadrature tolerance, so that the severe cancellation
-between the series terms and the integral stays far below the returned
-accuracy.  ``working_precision(quad_tol)`` alone maps a tolerance to those
-digits and holds the lock that serializes precision changes; every entry
-point here, and every mpmath computation in :mod:`gw`, runs under it.
+All heavy arithmetic runs at a working precision derived from the
+requested quadrature tolerance, so that the severe cancellation between
+the series terms and the integral stays far below the returned accuracy:
+in mpmath, except for the loop of the q-series below, which steps its
+terms on Python integers in fixed point at the same bits, as mpmath's own
+series do, and converts the sum back once.  ``working_precision(quad_tol)``
+alone maps a tolerance to those digits and holds the lock that serializes
+precision changes; every entry point here, and every mpmath computation in
+:mod:`gw`, runs under it.
 
 ``log_h`` and ``log_g`` first try Bridgeland's q-series for the kernels (the
 Gopakumar-Vafa sum in x = e^{2 pi i t/w2} plus its non-perturbative series
@@ -39,6 +42,7 @@ import threading
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PoleError
 from .specfun import bernoulli_egf, gen_bernoulli
@@ -71,7 +75,7 @@ def _dps_for(quad_tol: float) -> int:
     if not 0 < quad_tol < math.inf:
         raise DomainError(
             f"quadrature tolerance {quad_tol} must be finite and positive")
-    return max(25, int(round(-mp.log10(quad_tol))) + 13)
+    return max(25, int(round(-math.log10(quad_tol))) + 13)
 
 
 @contextlib.contextmanager
@@ -328,35 +332,81 @@ def _walk(t, w1, w2, offset, direct, step):
     return direct(t + k * w1 + offset) + corr
 
 
-def _q_sum(a, b, factor):
-    """sum_{k>=1} e^{ka} u_k f_k / k with u_k = 1/(1 - e^{kb}), where
-    factor(k, u_k, U_k) gives f_k and a bound on |f_k| that does not grow
-    with k, given U_k = 1/(1 - |e^b|^k) >= |u_k|.
+def _fixed(z, wp: int):
+    """An integer or mpmath number as the (re, im) pair of integers scaled
+    by 2^wp."""
+    if isinstance(z, int):
+        return z << wp, 0
+    re, im = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+    return to_fixed(re, wp), to_fixed(im, wp)
+
+
+def _q_sum(a, b, c0=0, c1=0, c2=0):
+    """sum_{k>=1} e^{ka} u_k f_k / k with u_k = 1/(1 - e^{kb}) and the linear
+    form f_k = c0 + c1 u_k + c2/k, whose modulus is at most
+    F_k = |c0| + |c1| U_k + |c2|/k, given U_k = 1/(1 - |e^b|^k) >= |u_k|.
 
     Returns (sum, size), where size adds up each |term| times its condition
-    number, or None when Re a or Re b is not negative or the tail bound does
-    not fall below the working epsilon within _Q_TERM_CAP terms.  The terms
-    are bounded by |e^a|^k U_k F_k / k, which shrinks at least by |e^a| a step.
+    number, or None when |e^a| or |e^b| is not below 1 at the working bits
+    or the tail bound does not fall below the working epsilon within
+    _Q_TERM_CAP terms.  The terms are bounded by |e^a|^k U_k F_k / k, which
+    shrinks at least by |e^a| a step.
+
+    The loop runs in the fixed point of mpmath's own series: a complex
+    number is a pair of Python integers scaled by 2^wp, wp the working bits.
+    The tail bound and size are estimates and stay in floats.  A coefficient
+    or u_k f_k whose scaled integer overflows a float (beyond about
+    2^(1024 - wp); at wp above 1024 bits, every u_k) would be charged far
+    past any tolerance, so the sum declines instead.
     """
-    base, p = mp.exp(a), mp.exp(b)
-    rho = abs(base)
-    if not (rho < 1 and abs(p) < 1):
+    wp = mp.mp.prec
+    re_a, re_b = float(mp.re(a)), float(mp.re(b))
+    if not (re_a < 0 and re_b < 0):
         return None
-    # rounding in e^{ka} grows like k |a|; in 1 - e^{kb}, like k |b| |u_k|
-    scale_a, scale_b = 1 + abs(a), 2 * (1 + abs(b))
-    total, size = mp.mpc(0), mp.mpf(0)
-    power, pk = mp.mpc(1), mp.mpc(1)
-    for k in range(1, _Q_TERM_CAP + 1):
-        power *= base
-        pk *= p
-        u = 1 / (1 - pk)
-        U = 1 / (1 - abs(pk))
-        f, f_bound = factor(k, u, U)
-        term = power * u * f / k
-        total += term
-        size += abs(term) * k * (scale_a + scale_b * abs(u))
-        if abs(power) * rho * U * f_bound / (k * (1 - rho)) <= mp.eps:
-            return total, size
+    one, unit, eps = 1 << wp, 2.0 ** -wp, float(mp.eps)
+    ar, ai = _fixed(mp.exp(a), wp)
+    br, bi = _fixed(mp.exp(b), wp)
+    if not (ar * ar + ai * ai < one * one and br * br + bi * bi < one * one):
+        return None  # |e^a| or |e^b| rounds to 1 at the working bits
+    (c0r, c0i), (c1r, c1i), (c2r, c2i) = (_fixed(c, wp) for c in (c0, c1, c2))
+    rho = math.exp(re_a)
+    tail = rho / -math.expm1(re_a)
+    # rounding in e^{ka} grows like k |a|; in 1 - e^{kb}, like k |b| |u_k|.
+    # Fixed point also rounds e^{ka} absolutely, by about k units of 2^-wp
+    # however small it gets, which costs the term k |g_k| such units
+    # (g_k = u_k f_k / k); size counts in working digits, and one unit of
+    # 2^-wp is _Q_GUARD_DIGITS below them
+    scale_a, scale_b = 1 + abs(complex(a)), 2 * (1 + abs(complex(b)))
+    fixed_unit = 10.0 ** -_Q_GUARD_DIGITS
+    tr = ti = 0
+    pr, pi_, qr, qi = one, 0, one, 0
+    mag, size = 1.0, 0.0
+    try:
+        f0, f1, f2 = (math.hypot(re, im) * unit
+                      for re, im in ((c0r, c0i), (c1r, c1i), (c2r, c2i)))
+        for k in range(1, _Q_TERM_CAP + 1):
+            pr, pi_ = (pr * ar - pi_ * ai) >> wp, (pr * ai + pi_ * ar) >> wp
+            qr, qi = (qr * br - qi * bi) >> wp, (qr * bi + qi * br) >> wp
+            # u_k = 1/(1 - e^{kb}) = conj(1 - e^{kb}) / |1 - e^{kb}|^2
+            dr = one - qr
+            den = dr * dr + qi * qi
+            ur, ui = (dr << 2 * wp) // den, (qi << 2 * wp) // den
+            fr = c0r + ((c1r * ur - c1i * ui) >> wp) + c2r // k
+            fi = c0i + ((c1r * ui + c1i * ur) >> wp) + c2i // k
+            # g_k = u_k f_k / k, and the term is e^{ka} g_k
+            gr = ((ur * fr - ui * fi) >> wp) // k
+            gi = ((ur * fi + ui * fr) >> wp) // k
+            tr += (pr * gr - pi_ * gi) >> wp
+            ti += (pr * gi + pi_ * gr) >> wp
+            mag *= rho
+            u_abs = math.hypot(ur, ui) * unit
+            size += k * math.hypot(gr, gi) * unit * (
+                mag * (scale_a + scale_b * u_abs) + fixed_unit)
+            U = -1 / math.expm1(k * re_b)
+            if mag * tail * U * (f0 + f1 * U + f2 / k) / k <= eps:
+                return mp.mpc(mp.mpf((tr, -wp)), mp.mpf((ti, -wp))), size
+    except OverflowError:
+        pass  # a magnitude past the float range: declined, see above
     return None
 
 
@@ -364,14 +414,10 @@ def _y_sum(tau, lam, kernel: str):
     """The non-perturbative y-series of log G or log H for Im lam > 0, in
     y = e^{2 pi i (tau - 1)/lam} and q~ = e^{-2 pi i/lam}."""
     two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+    a, b = two_pi_i * (tau - 1) / lam, -two_pi_i / lam
     if kernel == "h":
-        def factor(k, u, U):
-            return 1, 1
-    else:
-        def factor(k, u, U):
-            return (u / lam + 1 / (two_pi_i * k) - tau / lam,
-                    U / abs(lam) + 1 / (2 * mp.pi * k) + abs(tau / lam))
-    return _q_sum(two_pi_i * (tau - 1) / lam, -two_pi_i / lam, factor)
+        return _q_sum(a, b, c0=1)
+    return _q_sum(a, b, c0=-tau / lam, c1=1 / lam, c2=1 / two_pi_i)
 
 
 def _q_series(t, w1, w2, quad_tol: float, kernel: str):
@@ -403,9 +449,9 @@ def _q_series(t, w1, w2, quad_tol: float, kernel: str):
         if kernel == "h":
             # x^k / (1 - q^k) = -(x p)^k / (1 - p^k) when p = 1/q
             x_sum = _q_sum(two_pi_i * tau + (0 if up else b), b,
-                           lambda k, u, U: (-1 if up else 1, 1))
+                           c0=-1 if up else 1)
         else:
-            x_sum = _q_sum(two_pi_i * tau + b, b, lambda k, u, U: (-u, U))
+            x_sum = _q_sum(two_pi_i * tau + b, b, c1=-1)
         if up:
             y_sum = _y_sum(tau, lam, kernel)
         else:

@@ -350,10 +350,7 @@ def _cmd_disp_check(args) -> dict:
         "identification_best_sign": min(
             abs(pid["difference_plus_sign"]), abs(pid["difference_minus_sign"])),
     }
-    ok = (residuals["density_h"] <= args.tol
-          and residuals["density_ht"] <= args.tol
-          and residuals["hamiltonian_form_z"] <= args.tol
-          and residuals["hamiltonian_form_zt"] <= args.tol)
+    ok = all(r <= args.tol for r in residuals.values())
     return _report(
         "disp check",
         {"grid": args.grid, "length": args.length, "seed": args.seed,
@@ -367,7 +364,8 @@ def _cmd_disp_check(args) -> dict:
          "identification_difference_plus": pid["difference_plus_sign"],
          "identification_difference_minus": pid["difference_minus_sign"]},
         residuals=residuals,
-        tolerances={"density": args.tol, "hamiltonian_form": args.tol},
+        tolerances={"density": args.tol, "fppp_identity": args.tol,
+                    "hamiltonian_form": args.tol, "identification": args.tol},
         ok=ok)
 
 

@@ -260,13 +260,18 @@ def _legendre_terms(e, f, order: int):
     the Legendre form of the module docstring.  Bonnet's recurrence
     (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1} runs forward, the stable
     direction for P_n."""
-    # |E^n| = |E|^n, so the top power decides whether any overflows; it is
-    # tested before the powers are formed, with room for their rounding
-    if order > 1 and (order * math.log(max(np.abs(e).max(), 1.0))
-                      > _LOG_FLOAT_MAX - 1):
-        raise DomainError(f"E^{order} overflows on the grid: flow order {order} "
-                          "is out of the float range of these fields")
-    x = 2.0 * f - 1.0
+    with np.errstate(over="ignore"):  # an infinite x fails the test below
+        x = 2.0 * f - 1.0
+    # |E^n| = |E|^n and, by Laplace's integral, |P_n(x)| <= r^n with
+    # r = |x| + sqrt(|x|^2 + 1), so the top order decides whether any power,
+    # polynomial or step of the recurrence overflows; it is tested before
+    # they are formed, with room for the recurrence factor 2n + 1
+    m = float(np.abs(x).max())
+    growth = (math.log(max(float(np.abs(e).max()), 1.0))
+              + math.log(m + math.hypot(m, 1.0)))
+    if order * growth > _LOG_FLOAT_MAX - math.log(2 * order + 1):
+        raise DomainError(f"E^n P_n(2F - 1) overflows on the grid: flow order "
+                          f"{order} is out of the float range of these fields")
     e_n, p_prev, p = e, np.ones_like(x), x
     yield e_n, p_prev, p
     for n in range(1, order):

@@ -4,7 +4,7 @@ Oracles: mpmath's Hurwitz zeta and loggamma for rank 1, exact shift and
 homogeneity identities across ranks, a finite-difference s-derivative for the
 log-gamma normalization, the closed-form difference equations for the
 rank-2/3 kernels, and for their q-series the quadrature's multiple sine with
-its Bernoulli prefactor.
+its Bernoulli prefactor and a plain mpmath sum of the same series.
 """
 import cmath
 import math
@@ -24,6 +24,7 @@ from conifold_flows.barnes import (
     log_multiple_gamma,
     log_multiple_sine,
     nonperturbative_potential,
+    working_precision,
     zeta_at_zero,
 )
 from conifold_flows.specfun import gen_bernoulli
@@ -247,6 +248,140 @@ def test_q_series_declines_where_its_sums_cancel(lam, monkeypatch):
     got = log_g_highprec(t, lam, 1.0)
     monkeypatch.setattr(barnes, "_q_series", lambda *args: None)
     assert log_g_highprec(t, lam, 1.0) == got
+
+
+def _bridgeland_series(kernel, t, w1, w2):
+    """log G or log H summed term by term from Bridgeland's x- and
+    y-series in plain mpmath at the current precision, until a term drops
+    below 1e-5 of the epsilon.  With tau = t/w2, lam = w1/w2, x = e^{2 pi i tau},
+    y = e^{2 pi i (tau - 1)/lam}, q~ = e^{-2 pi i/lam} and, for Im lam > 0,
+    q = e^{2 pi i lam}:
+
+        log G = -sum (x q)^k / (k (1 - q^k)^2)
+                + sum y^k u_k (u_k/lam + 1/(2 pi i k) - tau/lam) / k
+        log H = -sum x^k / (k (1 - q^k)) + sum y^k u_k / k,  u_k = 1/(1 - q~^k)
+
+    For Im lam < 0 the x-series runs in p = 1/q (x^k/(1 - q^k) becomes
+    -(x p)^k/(1 - p^k)), and the y-series Y is replaced by its mirror
+    +conj Y (G) or -conj Y (H) at (1 - conj tau, conj lam)."""
+    two_pi_i = 2j * mp.pi
+
+    def series(term):
+        total, k = mp.mpc(0), 0
+        while True:
+            k += 1
+            step = term(k)
+            total += step
+            if abs(step) < mp.eps * 1e-5:
+                return total
+
+    tau, lam = mp.mpc(t) / w2, mp.mpc(w1) / w2
+    up = mp.im(lam) > 0
+    x = mp.exp(two_pi_i * tau)
+    p = mp.exp(two_pi_i * lam if up else -two_pi_i * lam)
+    if kernel == "g":
+        x_part = series(lambda k: -(x * p) ** k / (k * (1 - p ** k) ** 2))
+    elif up:
+        x_part = series(lambda k: -x ** k / (k * (1 - p ** k)))
+    else:
+        x_part = series(lambda k: (x * p) ** k / (k * (1 - p ** k)))
+    if not up:
+        tau, lam = 1 - mp.conj(tau), mp.conj(lam)
+    y = mp.exp(two_pi_i * (tau - 1) / lam)
+    q_dual = mp.exp(-two_pi_i / lam)
+
+    def y_term(k):
+        u = 1 / (1 - q_dual ** k)
+        f = u / lam + 1 / (two_pi_i * k) - tau / lam if kernel == "g" else 1
+        return y ** k * u * f / k
+
+    y_part = series(y_term)
+    if not up:
+        y_part = mp.conj(y_part) if kernel == "g" else -mp.conj(y_part)
+    return x_part + y_part
+
+
+def _fixed_point_points():
+    """30 draws: the kernel_direct domain with both signs of Im lam, some
+    with complex w2, then |lam| = 1e-4; quad_tol cycles over 1e-8, 1e-12
+    and 1e-25."""
+    rng = np.random.default_rng(2026)
+    tols = (1e-8, 1e-12, 1e-25)
+    pts = []
+    for i in range(26):
+        sign = (-1) ** i
+        tau = complex(rng.uniform(0.2, 0.65), rng.uniform(0.21, 0.99))
+        lam = rng.uniform(0.05, 0.3) * cmath.exp(1j * sign * rng.uniform(0.05, 1.4))
+        w2 = 1.0 if i % 3 else complex(rng.uniform(0.8, 1.3), rng.uniform(-0.2, 0.2))
+        pts.append((tau * w2, lam * w2, w2, tols[i % 3]))
+    for i, arg in enumerate((math.pi / 4, -math.pi / 4, 1.2, -0.3)):
+        pts.append((0.3 + 0.4j, 1e-4 * cmath.exp(1j * arg), 1.0, tols[i % 3]))
+    return pts
+
+
+def test_q_series_matches_a_plain_mpmath_sum():
+    # the kernels sum Bridgeland's series in integer fixed point; here the
+    # same series run as plain mpmath loops 20 digits above the working
+    # ones.  log_g_highprec keeps the working digits, less two for the
+    # rounding of the sums; log_h and log_g are the nearest doubles
+    for t, w1, w2, quad_tol in _fixed_point_points():
+        with working_precision(quad_tol) as dps:
+            pass
+        for kernel in "gh":
+            with mp.workdps(dps + 20):
+                want = _bridgeland_series(kernel, t, w1, w2)
+            scale = max(1.0, abs(complex(want)))
+            if kernel == "g":
+                got = log_g_highprec(t, w1, w2, quad_tol)
+                with mp.workdps(dps + 20):
+                    assert abs(got - want) <= 10.0 ** (2 - dps) * scale, \
+                        (t, w1, w2, quad_tol)
+                got = log_g(t, w1, w2, quad_tol)
+            else:
+                got = log_h(t, w1, w2, quad_tol)
+            assert abs(got - complex(want)) <= 4e-16 * scale, \
+                (kernel, t, w1, w2, quad_tol)
+
+
+@pytest.mark.parametrize("t, lam, quad_tol, g_repr, h_repr", [
+    (0.3 + 0.4j, 0.1 + 0.1j, 1e-12,
+     "(0.09443043458177408+0.0386567989458482j)",
+     "(0.09303557826498812-0.08247730591057241j)"),
+    (0.5 + 0.3j, 0.2 - 0.05j, 1e-12,
+     "(-0.09089197419810403-0.04142402830223328j)",
+     "(0.03964294348864872+0.09567988664748746j)"),
+    (0.3 + 0.4j, 1e-4 * cmath.exp(0.7j), 1e-25,
+     "(180014.18434947167+97053.33243842065j)",
+     "(119.55366441818036-45.9769201826259j)"),
+    (0.4 + 0.9j, 0.05 + 0.2j, 1e-8,
+     "(0.001840582390903762-0.00013645750289016496j)",
+     "(0.004160277990504966-0.0023130539575688734j)"),
+    (0.62 + 0.25j, 0.28 + 0.03j, 1e-12,
+     "(-0.07041955818900536-0.04412546307473184j)",
+     "(0.02721368284895343+0.13361897497643296j)"),
+    (0.25 + 0.95j, 0.07 - 0.2j, 1e-30,
+     "(-0.0008891355228965672-0.0009293250186901637j)",
+     "(0.0005472293652669145+0.0007975894680700009j)"),
+])
+def test_q_series_doubles_are_pinned(t, lam, quad_tol, g_repr, h_repr):
+    # doubles of the mpmath q-series that the fixed-point sum replaced
+    assert repr(log_g(t, lam, 1.0, quad_tol)) == g_repr
+    assert repr(log_h(t, lam, 1.0, quad_tol)) == h_repr
+
+
+def test_working_digits_follow_the_tolerance():
+    # 13 digits above -log10(quad_tol), at least 25, with -log10 taken as
+    # the double nearest it and rounded half to even, on every 10^-k and
+    # 10^-(k + 1/2) and on seeded draws; the oracle takes log10 at 30 digits
+    rng = np.random.default_rng(60)
+    tols = ([10.0 ** -k for k in range(61)]
+            + [10.0 ** -(k + 0.5) for k in range(60)]
+            + list(10.0 ** rng.uniform(-60, 0, 300)))
+    for tol in tols:
+        with mp.workdps(30):
+            want = max(25, round(float(-mp.log10(tol))) + 13)
+        with working_precision(tol) as dps:
+            assert dps == want, tol
 
 
 def test_nonperturbative_potential_is_log_g():

@@ -160,6 +160,34 @@ def test_disp_check_passes_at_large_zeta(capsys, grid, zeta):
     assert code == 0 and rep["status"] == "pass", rep["residuals"]
 
 
+@pytest.mark.parametrize("broken, tol_key", [
+    ("fppp_identity", "fppp_identity"),
+    ("identification_best_sign", "identification"),
+])
+def test_disp_check_fails_on_a_broken_identity(capsys, monkeypatch, broken,
+                                               tol_key):
+    # every residual of the report is held to --tol and enters the status
+    from conifold_flows import disp
+
+    if broken == "fppp_identity":
+        real = disp.check_density_constraint
+
+        def check(*args, **kwargs):
+            return {**real(*args, **kwargs), "fppp_identity_error": 1e-3}
+        monkeypatch.setattr(disp, "check_density_constraint", check)
+    else:
+        real = disp.check_principal_identification
+
+        def check(*args, **kwargs):
+            return {**real(*args, **kwargs), "difference_plus_sign": 1e-3,
+                    "difference_minus_sign": 2e-3}
+        monkeypatch.setattr(disp, "check_principal_identification", check)
+    code, rep = run_json(capsys, ["disp", "check", "--grid", "16"])
+    assert code == 1 and rep["status"] == "fail"
+    assert float(rep["residuals"][broken]) == 1e-3
+    assert float(rep["tolerances"][tol_key]) == 1e-6
+
+
 def test_disp_check_passes_where_s_squared_nearly_vanishes(capsys):
     # density_ht was 0.97 here: np.sqrt flipped S inside a stencil
     code, rep = run_json(capsys, ["disp", "check",

@@ -339,6 +339,31 @@ def test_overflowing_power_of_e_names_the_flow_order(direction):
                 call()
 
 
+def test_overflowing_legendre_polynomial_names_the_flow_order():
+    # at u = -200, x = 2e^{-u} - 1 is about 1e87: P_3(x) is finite, P_4(x)
+    # is not, although E = e^v stays near 1
+    x = np.arange(N) * (L / N)
+    fields = DispersionlessFields(
+        GridFunction(L, -200.0 + 0.1 * np.cos(math.pi * x)),
+        GridFunction(L, 0.1 * np.sin(math.pi * x)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in (2, 3):
+            du, dv = flow_rhs(fields, j, "z")
+            assert np.isfinite(du.values).all() and np.isfinite(dv.values).all()
+        for call in (lambda: flow_rhs(fields, 4, "z"),
+                     lambda: recombined_flow(1e-300, fields, "z", 4),
+                     lambda: evolve_dispersionless(fields, 4, "z",
+                                                   T=1e-3, dt=1e-3)):
+            with pytest.raises(DomainError, match="flow order 4"):
+                call()
+        # at u = -709.5, F is finite but 2F - 1 is not
+        fields = DispersionlessFields(GridFunction(L, np.full(N, -709.5)),
+                                      GridFunction(L, np.zeros(N)))
+        with pytest.raises(DomainError, match="flow order 1"):
+            flow_rhs(fields, 1, "z")
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian form
 
