@@ -32,6 +32,16 @@ convention: it may differ from the quadrature by a multiple of 2 pi i.
 Real w1/w2, |y| >= 1, and points where the series would lose too many
 digits to cancellation fall back to the split integral and the extension
 walk above.
+
+Every sum of both kernels steps u_k = 1/(1 - e^{kb}) in one of only two
+ratios, b_x = +/-2 pi i w1/w2 for the x-series and b_y = -2 pi i w2/w1
+(conjugated for Im(w1/w2) < 0) for the y-series.  So the data that depends
+on the coupling alone is computed once per pair of periods and working
+precision, in a small cache keyed on the exact mpmath values: 2 pi i,
+b_x, lam_y = w1/w2 (or its conjugate), 1/lam_y and 1/(2 pi i), formed by
+the operations a sum would use, and for each b a table of e^b and the u_k
+in fixed point, grown only as far as some sum has reached.  The values are
+bitwise those of forming everything per call.
 """
 from __future__ import annotations
 
@@ -341,10 +351,76 @@ def _fixed(z, wp: int):
     return to_fixed(re, wp), to_fixed(im, wp)
 
 
-def _q_sum(a, b, c0=0, c1=0, c2=0):
-    """sum_{k>=1} e^{ka} u_k f_k / k with u_k = 1/(1 - e^{kb}) and the linear
-    form f_k = c0 + c1 u_k + c2/k, whose modulus is at most
-    F_k = |c0| + |c1| U_k + |c2|/k, given U_k = 1/(1 - |e^b|^k) >= |u_k|.
+class _QTable:
+    """The factors u_k = 1/(1 - e^{kb}) of the sums in one b, in the fixed
+    point of _q_sum: e^b is converted and tested against |e^b| < 1 once, and
+    row k - 1 holds (u_re, u_im, |u_k|, U_k), U_k = 1/(1 - |e^b|^k) >= |u_k|,
+    or None where an integer of u_k overflows a float.  Rows are added one
+    at a time when a sum first reaches them, so the table never runs past
+    the last term some sum needed."""
+
+    def __init__(self, b):
+        self.wp = mp.mp.prec
+        self.re_b = float(mp.re(b))
+        self.inside = False
+        self.rows = []
+        if self.re_b < 0:
+            self.scale_b = 2 * (1 + abs(complex(b)))
+            self.e_b = br, bi = _fixed(mp.exp(b), self.wp)
+            self.inside = br * br + bi * bi < 1 << 2 * self.wp
+            self.q = 1 << self.wp, 0
+
+    def grow(self):
+        wp, (br, bi), (qr, qi) = self.wp, self.e_b, self.q
+        self.q = qr, qi = (qr * br - qi * bi) >> wp, (qr * bi + qi * br) >> wp
+        # u_k = 1/(1 - e^{kb}) = conj(1 - e^{kb}) / |1 - e^{kb}|^2
+        dr = (1 << wp) - qr
+        den = dr * dr + qi * qi
+        ur, ui = (dr << 2 * wp) // den, (qi << 2 * wp) // den
+        k = len(self.rows) + 1
+        try:
+            row = (ur, ui, math.hypot(ur, ui) * 2.0 ** -wp,
+                   -1 / math.expm1(k * self.re_b))
+        except OverflowError:
+            row = None
+        self.rows.append(row)
+
+
+class _Coupling:
+    """What Bridgeland's sums at one non-real coupling lam = w1/w2 share at
+    the working bits, whatever t: whether Im lam > 0 (up), 2 pi i, the
+    x-series ratio b_x = 2 pi i lam (-2 pi i lam for Im lam < 0), the
+    y-series coupling lam_y (lam, or conj lam for Im lam < 0), 1/lam_y,
+    1/(2 pi i), and the _QTable of b_x and of b_y = -2 pi i/lam_y.  Each is
+    formed by the same mpmath operations as a sum would form it."""
+
+    def __init__(self, lam):
+        self.up = up = mp.im(lam) > 0
+        self.two_pi_i = two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        self.b_x = two_pi_i * lam if up else -two_pi_i * lam
+        self.lam_y = lam_y = lam if up else mp.conj(lam)
+        self.inv_lam_y, self.inv_two_pi_i = 1 / lam_y, 1 / two_pi_i
+        self.x_table = _QTable(self.b_x)
+        self.y_table = _QTable(-two_pi_i / lam_y)
+
+
+@functools.lru_cache(maxsize=8)
+def _coupling(w1, w2, prec: int):
+    """The _Coupling of the periods with raw mpmath values (``._mpc_``) w1,
+    w2 at the working bits prec, or None for real w1/w2.  Keyed on the
+    exact values, so a period with digits beyond a double is not taken for
+    that double.  Its tables grow under _PREC_LOCK, which every caller
+    holds."""
+    lam = mp.make_mpc(w1) / mp.make_mpc(w2)
+    if mp.im(lam) == 0:
+        return None
+    return _Coupling(lam)
+
+
+def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
+    """sum_{k>=1} e^{ka} u_k f_k / k with u_k = 1/(1 - e^{kb}) from the
+    table of b and the linear form f_k = c0 + c1 u_k + c2/k, whose modulus
+    is at most F_k = |c0| + |c1| U_k + |c2|/k, given U_k >= |u_k|.
 
     Returns (sum, size), where size adds up each |term| times its condition
     number, or None when |e^a| or |e^b| is not below 1 at the working bits
@@ -354,19 +430,18 @@ def _q_sum(a, b, c0=0, c1=0, c2=0):
 
     The loop runs in the fixed point of mpmath's own series: a complex
     number is a pair of Python integers scaled by 2^wp, wp the working bits.
-    The tail bound and size are estimates and stay in floats.  A coefficient
-    or u_k f_k whose scaled integer overflows a float (beyond about
+    The tail bound and size are estimates and stay in floats.  A coefficient,
+    u_k or u_k f_k whose scaled integer overflows a float (beyond about
     2^(1024 - wp); at wp above 1024 bits, every u_k) would be charged far
     past any tolerance, so the sum declines instead.
     """
-    wp = mp.mp.prec
-    re_a, re_b = float(mp.re(a)), float(mp.re(b))
-    if not (re_a < 0 and re_b < 0):
+    wp = table.wp
+    re_a = float(mp.re(a))
+    if not (re_a < 0 and table.re_b < 0):
         return None
     one, unit, eps = 1 << wp, 2.0 ** -wp, float(mp.eps)
     ar, ai = _fixed(mp.exp(a), wp)
-    br, bi = _fixed(mp.exp(b), wp)
-    if not (ar * ar + ai * ai < one * one and br * br + bi * bi < one * one):
+    if not (ar * ar + ai * ai < one * one and table.inside):
         return None  # |e^a| or |e^b| rounds to 1 at the working bits
     (c0r, c0i), (c1r, c1i), (c2r, c2i) = (_fixed(c, wp) for c in (c0, c1, c2))
     rho = math.exp(re_a)
@@ -376,21 +451,23 @@ def _q_sum(a, b, c0=0, c1=0, c2=0):
     # however small it gets, which costs the term k |g_k| such units
     # (g_k = u_k f_k / k); size counts in working digits, and one unit of
     # 2^-wp is _Q_GUARD_DIGITS below them
-    scale_a, scale_b = 1 + abs(complex(a)), 2 * (1 + abs(complex(b)))
+    scale_a, scale_b = 1 + abs(complex(a)), table.scale_b
     fixed_unit = 10.0 ** -_Q_GUARD_DIGITS
+    rows = table.rows
     tr = ti = 0
-    pr, pi_, qr, qi = one, 0, one, 0
+    pr, pi_ = one, 0
     mag, size = 1.0, 0.0
     try:
         f0, f1, f2 = (math.hypot(re, im) * unit
                       for re, im in ((c0r, c0i), (c1r, c1i), (c2r, c2i)))
         for k in range(1, _Q_TERM_CAP + 1):
+            if k > len(rows):
+                table.grow()
+            row = rows[k - 1]
+            if row is None:
+                return None  # u_k overflows a float, see above
+            ur, ui, u_abs, U = row
             pr, pi_ = (pr * ar - pi_ * ai) >> wp, (pr * ai + pi_ * ar) >> wp
-            qr, qi = (qr * br - qi * bi) >> wp, (qr * bi + qi * br) >> wp
-            # u_k = 1/(1 - e^{kb}) = conj(1 - e^{kb}) / |1 - e^{kb}|^2
-            dr = one - qr
-            den = dr * dr + qi * qi
-            ur, ui = (dr << 2 * wp) // den, (qi << 2 * wp) // den
             fr = c0r + ((c1r * ur - c1i * ui) >> wp) + c2r // k
             fi = c0i + ((c1r * ui + c1i * ur) >> wp) + c2i // k
             # g_k = u_k f_k / k, and the term is e^{ka} g_k
@@ -399,10 +476,8 @@ def _q_sum(a, b, c0=0, c1=0, c2=0):
             tr += (pr * gr - pi_ * gi) >> wp
             ti += (pr * gi + pi_ * gr) >> wp
             mag *= rho
-            u_abs = math.hypot(ur, ui) * unit
             size += k * math.hypot(gr, gi) * unit * (
                 mag * (scale_a + scale_b * u_abs) + fixed_unit)
-            U = -1 / math.expm1(k * re_b)
             if mag * tail * U * (f0 + f1 * U + f2 / k) / k <= eps:
                 return mp.mpc(mp.mpf((tr, -wp)), mp.mpf((ti, -wp))), size
     except OverflowError:
@@ -410,14 +485,20 @@ def _q_sum(a, b, c0=0, c1=0, c2=0):
     return None
 
 
-def _y_sum(tau, lam, kernel: str):
-    """The non-perturbative y-series of log G or log H for Im lam > 0, in
-    y = e^{2 pi i (tau - 1)/lam} and q~ = e^{-2 pi i/lam}."""
-    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-    a, b = two_pi_i * (tau - 1) / lam, -two_pi_i / lam
+def _y_sum(tau, c: _Coupling, kernel: str):
+    """The non-perturbative y-series of log G or log H for Im lam_y > 0, in
+    y = e^{2 pi i (tau - 1)/lam_y} and q~ = e^{b_y} = e^{-2 pi i/lam_y}."""
+    a = c.two_pi_i * (tau - 1) / c.lam_y
     if kernel == "h":
-        return _q_sum(a, b, c0=1)
-    return _q_sum(a, b, c0=-tau / lam, c1=1 / lam, c2=1 / two_pi_i)
+        return _q_sum(a, c.y_table, c0=1)
+    return _q_sum(a, c.y_table, c0=-tau / c.lam_y, c1=c.inv_lam_y,
+                  c2=c.inv_two_pi_i)
+
+
+@functools.lru_cache(maxsize=16)
+def _ten_to_minus(dps: int, prec: int):
+    """10^-dps at the working bits prec."""
+    return mp.mpf(10) ** -dps
 
 
 def _q_series(t, w1, w2, quad_tol: float, kernel: str):
@@ -432,7 +513,8 @@ def _q_series(t, w1, w2, quad_tol: float, kernel: str):
 
     with D, D_H the y-series of _y_sum for Im lam > 0; for Im lam < 0 they
     are conj(D(1 - conj tau, conj lam)) and -conj(D_H(1 - conj tau, conj lam)).
-    The sums run at _Q_GUARD_DIGITS above the working digits.  Near real lam
+    The sums run at _Q_GUARD_DIGITS above the working digits, with the data
+    that depends on the coupling alone taken from _coupling.  Near real lam
     both grow large and cancel, so the value is returned only if the
     rounding of both sums together, charged at the working digits, stays
     within quad_tol * max(1, |value|).  Real lam, |x p| >= 1 (|x| >= 1 for
@@ -440,22 +522,25 @@ def _q_series(t, w1, w2, quad_tol: float, kernel: str):
     """
     dps = _dps_for(quad_tol)
     with mp.workdps(dps + _Q_GUARD_DIGITS):
-        tau, lam = t / w2, w1 / w2
-        if mp.im(lam) == 0:
+        c = _coupling(w1._mpc_, w2._mpc_, mp.mp.prec)
+        if c is None:
             return None
-        up = mp.im(lam) > 0
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        b = two_pi_i * lam if up else -two_pi_i * lam
+        # t / 1 rounds t twice, so it is t itself when t fits the working bits
+        prec = mp.mp.prec
+        if w2 == 1 and t._mpc_[0][3] <= prec and t._mpc_[1][3] <= prec:
+            tau = t
+        else:
+            tau = t / w2
         if kernel == "h":
             # x^k / (1 - q^k) = -(x p)^k / (1 - p^k) when p = 1/q
-            x_sum = _q_sum(two_pi_i * tau + (0 if up else b), b,
-                           c0=-1 if up else 1)
+            x_sum = _q_sum(c.two_pi_i * tau + (0 if c.up else c.b_x),
+                           c.x_table, c0=-1 if c.up else 1)
         else:
-            x_sum = _q_sum(two_pi_i * tau + b, b, c1=-1)
-        if up:
-            y_sum = _y_sum(tau, lam, kernel)
+            x_sum = _q_sum(c.two_pi_i * tau + c.b_x, c.x_table, c1=-1)
+        if c.up:
+            y_sum = _y_sum(tau, c, kernel)
         else:
-            y_sum = _y_sum(1 - mp.conj(tau), mp.conj(lam), kernel)
+            y_sum = _y_sum(1 - mp.conj(tau), c, kernel)
             if y_sum is not None:
                 sign = 1 if kernel == "g" else -1
                 y_sum = (sign * mp.conj(y_sum[0]), y_sum[1])
@@ -464,7 +549,8 @@ def _q_series(t, w1, w2, quad_tol: float, kernel: str):
         total = x_sum[0] + y_sum[0]
         size = x_sum[1] + y_sum[1]
     value = +total
-    if 10 * size * mp.mpf(10) ** -dps > quad_tol * max(1, abs(value)):
+    rounding = 10 * size * _ten_to_minus(dps, mp.mp.prec)
+    if rounding > quad_tol * max(1, abs(value)):
         return None
     return value
 

@@ -15,6 +15,7 @@ error occurred (message on standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -174,7 +175,7 @@ def _cmd_gw_scan(args) -> dict:
          "expected": {f"genus_cap_{g}": 2 * g for g in genus_list}},
         residuals={f"genus_cap_{g}": abs(slopes[f"genus_cap_{g}"] - 2 * g)
                    for g in genus_list},
-        tolerances={"slope_band": args.band},
+        tolerances={"genus_cap": args.band},
         ok=ok)
 
 
@@ -208,7 +209,7 @@ def _cmd_hirota_check(args) -> dict:
         {"seed": args.seed, "sites": n},
         {"per_equation": claims, "vacuum_identically_zero": vacuum_max == 0.0},
         residuals={"first_order_max": worst, "vacuum_max": vacuum_max},
-        tolerances={"first_order_max": args.tol},
+        tolerances={"first_order_max": args.tol, "vacuum_max": 0.0},
         ok=worst <= args.tol and vacuum_max == 0.0)
 
 
@@ -476,8 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
 _NEGATIVE_VALUE = re.compile(r"-[\d.]|-i$")
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: parse_args leaves a parser as it found it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = [" " + a if _NEGATIVE_VALUE.match(a) else a
             for a in (sys.argv[1:] if argv is None else argv)]
     try:

@@ -167,7 +167,8 @@ class DispersionlessFields:
             raise DomainError("grid mismatch")
         _check_commensurate(self.u, "u")
         _check_commensurate(self.v, "v")
-        _exp_minus_u(self.u.total_values())
+        with np.errstate(over="ignore"):
+            _exp_minus_u(self.u.total_values())
 
     @classmethod
     def from_auxiliary(cls, s: GridFunction, r: GridFunction,
@@ -221,7 +222,8 @@ def _family_sign(direction: str) -> float:
 
 def _exp_minus_u(u):
     """F = e^{-u} from total values of u, rejecting overflow and the branch
-    point F = 1."""
+    point F = 1.  Callers silence numpy's overflow warning, once per entry
+    point rather than once per call: the finiteness test rejects it."""
     f = np.exp(-u)
     if not np.isfinite(f).all():
         raise DomainError("exp(-u) overflows on the grid")
@@ -232,7 +234,8 @@ def _exp_minus_u(u):
 
 def _exponentials(u, v, sign: float):
     """E = e^{sign v} and F = e^{-u} from total field values, with the
-    overflow and branch guards every flow evaluation needs."""
+    overflow and branch guards every flow evaluation needs; callers silence
+    the overflow warning as for _exp_minus_u."""
     e = np.exp(v if sign > 0 else -v)
     if not np.isfinite(e).all():
         raise DomainError("field exponentials overflow on the grid")
@@ -242,7 +245,9 @@ def _exponentials(u, v, sign: float):
 def _closed_form(zeta0: complex, u, v, sign: float):
     """E = e^{sign v}, A = 1 + zeta E and S = sqrt(A^2 - 4 zeta E e^{-u}) on
     scalars or arrays.  An overflowing exponential makes S^2 non-finite, so
-    one test rejects it together with the zeros of S^2."""
+    one test rejects it together with the zeros of S^2; callers silence
+    numpy's warnings of the overflow and of the inf * 0 it may meet, once
+    per entry point rather than once per stencil point."""
     v = np.asarray(v, dtype=complex)
     e = np.exp(v if sign > 0 else -v)
     f = np.exp(-np.asarray(u, dtype=complex))
@@ -297,8 +302,10 @@ def _flow_series(fields: DispersionlessFields, sign: float, order: int):
     total values of the fields."""
     if order < 1:
         raise TruncationOrderError("expansion order must be at least 1")
-    terms = _legendre_terms(*_exponentials(fields.u.total_values(),
-                                           fields.v.total_values(), sign), order)
+    with np.errstate(over="ignore"):
+        terms = _legendre_terms(*_exponentials(fields.u.total_values(),
+                                               fields.v.total_values(), sign),
+                                order)
     c_u, c_v = zip(*(_coefficients(*t) for t in terms))
     return c_u, c_v
 
@@ -329,9 +336,10 @@ def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
     """
     length = fields.u.length
     sign = _family_sign(direction)
-    du, dv = _flow_pair(*_flow_coefficients(fields.u.total_values(),
-                                            fields.v.total_values(), j, sign),
-                        length, sign)
+    with np.errstate(over="ignore"):
+        c_u, c_v = _flow_coefficients(fields.u.total_values(),
+                                      fields.v.total_values(), j, sign)
+    du, dv = _flow_pair(c_u, c_v, length, sign)
     return GridFunction(length, du), GridFunction(length, dv)
 
 
@@ -397,15 +405,18 @@ def hamiltonian_density(zeta0: complex, fields: DispersionlessFields,
                         direction: str = "z") -> GridFunction:
     """Generating function -i atanh((1+zeta e^{+/-v})/S) of conserved
     densities, evaluated at a fixed numeric zeta."""
-    vals = _density_pointwise(complex(zeta0), fields.u.total_values(),
-                              fields.v.total_values(), _family_sign(direction))
+    sign = _family_sign(direction)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _density_pointwise(complex(zeta0), fields.u.total_values(),
+                                  fields.v.total_values(), sign)
     return GridFunction(fields.u.length, vals)
 
 
 def hamiltonian_gradients(zeta0: complex, u, v, direction: str = "z"):
     """Closed-form (dh/du, dh/dv) for the density generating function."""
     sign = _family_sign(direction)
-    e, a, s = _closed_form(zeta0, u, v, sign)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, a, s = _closed_form(zeta0, u, v, sign)
     dh_du = -1j * a / (2.0 * s)
     dh_dv = 1j * (1.0 - zeta0 * e) / (2.0 * s)
     if sign < 0:
@@ -464,7 +475,8 @@ def check_hamiltonian_form(zeta0: complex, fields: DispersionlessFields,
     v = fields.v.total_values()
     length = fields.u.length
     # first, so that a zeta out of the series' reach is rejected up front
-    order = _series_order(zeta0, *_exponentials(u, v, sign))
+    with np.errstate(over="ignore"):
+        order = _series_order(zeta0, *_exponentials(u, v, sign))
     du_rec, dv_rec = recombined_flow(zeta0, fields, direction, order)
 
     gu_cl, gv_cl = hamiltonian_gradients(zeta0, u, v, direction)
@@ -681,13 +693,17 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
     gradient0 = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
     limit = _CATASTROPHE_FACTOR * max(gradient0, 1e-300)
     t = 0.0
-    for _ in range(steps):
-        state = rk4(rhs, state, dt)
-        t += dt
-        gnow = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
-        if not math.isfinite(gnow) or gnow > limit:
-            raise GradientCatastropheError(
-                f"gradient growth {gnow:.3g} vs initial {gradient0:.3g}", time=t)
+    # an overflow is rejected by the guards of the next stage or step, so
+    # numpy need not warn of it
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            state = rk4(rhs, state, dt)
+            t += dt
+            gnow = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
+            if not math.isfinite(gnow) or gnow > limit:
+                raise GradientCatastropheError(
+                    f"gradient growth {gnow:.3g} vs initial {gradient0:.3g}",
+                    time=t)
 
     if varpi is not None:
         # state[2] is the time integral of -s_dir i c_u: its mean advances

@@ -369,6 +369,71 @@ def test_q_series_doubles_are_pinned(t, lam, quad_tol, g_repr, h_repr):
     assert repr(log_h(t, lam, 1.0, quad_tol)) == h_repr
 
 
+def _coupling_points():
+    """Six couplings, three of each sign of Im lam, with three t each in
+    the kernel_direct domain; quad_tol cycles over 1e-8, 1e-12 and 1e-25,
+    so each coupling meets every tolerance."""
+    rng = np.random.default_rng(1313)
+    tols = (1e-8, 1e-12, 1e-25)
+    pts = []
+    for i in range(6):
+        lam = rng.uniform(0.05, 0.3) * cmath.exp(
+            1j * (-1) ** i * rng.uniform(0.05, 1.4))
+        for j in range(3):
+            t = complex(rng.uniform(0.2, 0.65), rng.uniform(0.21, 0.99))
+            pts.append((t, lam, tols[(i + j) % 3]))
+    return pts
+
+
+def _kernel_values(points):
+    # the full-precision log G and the double of log H, from the q-series
+    return [(log_g_highprec(t, lam, 1.0, quad_tol), log_h(t, lam, 1.0, quad_tol))
+            for t, lam, quad_tol in points]
+
+
+def test_coupling_cache_keeps_every_value(monkeypatch):
+    # the per-coupling data of the q-series serve later calls at the same
+    # coupling and digits; the values must be those of a cold cache, in
+    # any call order and whatever digits the coupling met before
+    def no_walk(*args):
+        raise AssertionError("the q-series declined")
+
+    monkeypatch.setattr(barnes, "_walk", no_walk)
+    pts = _coupling_points()
+    barnes._coupling.cache_clear()
+    warm = _kernel_values(pts)
+    cold = []
+    for p in pts:
+        barnes._coupling.cache_clear()
+        cold += _kernel_values([p])
+    assert warm == cold
+    order = list(np.random.default_rng(7).permutation(len(pts)))
+    barnes._coupling.cache_clear()
+    shuffled = _kernel_values([pts[i] for i in order])
+    assert shuffled == [cold[i] for i in order]
+    # one coupling at rising and falling digits
+    t, lam, _ = pts[0]
+    ladder = [(t, lam, tol) for tol in (1e-8, 1e-25, 1e-12, 1e-25, 1e-8)]
+    barnes._coupling.cache_clear()
+    got = _kernel_values(ladder)
+    for p, value in zip(ladder, got):
+        barnes._coupling.cache_clear()
+        assert _kernel_values([p]) == [value], p
+
+
+def test_coupling_cache_tells_extra_digits_from_the_double():
+    # an mpmath period 2^-70 away from a double is its own coupling: after
+    # the double has filled the cache it still gets its own value
+    t, lam = 0.3 + 0.4j, 0.1 + 0.1j
+    with working_precision():
+        finer = mp.mpc(lam) + mp.mpf(2) ** -70
+    barnes._coupling.cache_clear()
+    cold = log_g_highprec(t, finer, 1.0)
+    barnes._coupling.cache_clear()
+    coarse = log_g_highprec(t, lam, 1.0)
+    assert log_g_highprec(t, finer, 1.0) == cold != coarse
+
+
 def test_working_digits_follow_the_tolerance():
     # 13 digits above -log10(quad_tol), at least 25, with -log10 taken as
     # the double nearest it and rounded half to even, on every 10^-k and

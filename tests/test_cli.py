@@ -1,10 +1,12 @@
 """Command-line interface: report schema, determinism, exit codes."""
+import argparse
 import json
 import warnings
 
 import mpmath
 import pytest
 
+from conifold_flows import cli
 from conifold_flows.cli import _parse_planewave, build_parser, main
 from conifold_flows.errors import DomainError
 from conifold_flows.reporting import (
@@ -359,6 +361,66 @@ def test_parser_builds_all_groups():
     text = parser.format_help()
     for group in ("specfun", "barnes", "gw", "hirota", "al", "disp"):
         assert group in text
+
+
+def test_main_reuses_one_parser_with_the_same_reports(capsys, monkeypatch):
+    # help, a bad flag and two subcommands through one parser print what
+    # a fresh parser per call prints; build_parser stays a fresh one
+    runs = [["--help"], ["specfun", "eval", "--bogus"],
+            ["gw", "eval", "--genus", "2"], ["hirota", "check"]]
+
+    def outputs():
+        got = []
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    cli._parser.cache_clear()
+    shared = outputs()
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert build_parser() is not build_parser()
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# one cheap run of every subcommand
+_ONE_RUN_EACH = {
+    ("specfun", "eval"): ["--bernoulli", "4"],
+    ("barnes", "eval"): ["--function", "log-g", "--lam", "0.1+0.1i"],
+    ("gw", "eval"): ["--genus", "2"],
+    ("gw", "check-diff"): [],
+    ("gw", "scan-asymptotics"): ["--points", "3"],
+    ("hirota", "check"): [],
+    ("al", "run"): ["--N", "16", "--steps", "10",
+                    "--planewave", "A=0.3,B=0.2,mode=1"],
+    ("disp", "run"): ["--grid", "16", "--T", "0.01"],
+    ("disp", "check"): ["--grid", "16"],
+}
+
+
+def test_every_residual_names_its_tolerance(capsys):
+    # a reader pairs each residual with the tolerance of the same key, or
+    # of a key it extends as <key>_...; none may be left without one
+    parser = build_parser()
+    pairs = {(group, action) for group, gp in _subcommands(parser).items()
+             for action in _subcommands(gp)}
+    assert pairs == set(_ONE_RUN_EACH)
+    for (group, action), extra in _ONE_RUN_EACH.items():
+        code, rep = run_json(capsys, [group, action] + extra)
+        assert code in (0, 1), (group, action)
+        tolerances = rep["tolerances"]
+        for key in rep["residuals"]:
+            assert any(key == tol or key.startswith(tol + "_")
+                       for tol in tolerances), (group, action, key)
 
 
 # ---------------------------------------------------------------------------

@@ -313,10 +313,34 @@ def test_flow_guards():
         flow_rhs(fields, 0, "z")
     with pytest.raises(DomainError):
         flow_rhs(fields, 1, "w")
-    with np.errstate(over="ignore"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         # overflow guard on exp(-u)
         DispersionlessFields(GridFunction(L, np.full(N, -1e4)),
                              GridFunction(L, np.zeros(N)))
+
+
+@pytest.mark.parametrize("direction", ["z", "zt"])
+def test_overflowing_exponentials_raise_without_a_warning(direction):
+    # exp(-u) at u = -1e4, and E = e^{+/-v} at |v| = 800: the constructor
+    # and every entry point that forms them raise DomainError, and numpy's
+    # overflow warning, an error here, never escapes before it
+    x = np.arange(N) * (L / N)
+    v = np.full(N, 800.0 if direction == "z" else -800.0)
+    fields = DispersionlessFields(
+        GridFunction(L, 1.0 + 0.05 * np.cos(math.pi * x)), GridFunction(L, v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="exp\\(-u\\) overflows"):
+            DispersionlessFields(GridFunction(L, np.full(N, -1e4)),
+                                 GridFunction(L, np.zeros(N)))
+        for call in (lambda: flow_rhs(fields, 1, direction),
+                     lambda: flow_generating_series(fields, direction, 2),
+                     lambda: recombined_flow(0.1, fields, direction, 2),
+                     lambda: check_hamiltonian_form(0.1, fields, direction),
+                     lambda: evolve_dispersionless(fields, 1, direction,
+                                                   T=2e-3, dt=1e-3)):
+            with pytest.raises(DomainError, match="exponentials overflow"):
+                call()
 
 
 @pytest.mark.parametrize("direction", ["z", "zt"])
@@ -415,7 +439,8 @@ _B = 1 - 2 / math.e  # S^2 = zeta^2 + 2 b zeta + 1 at u = 1, v = 0
 def test_closed_form_guard_is_shared(direction, u0, v0, zeta0):
     # the density, its gradients and the grouped flow evaluate one closed
     # form behind one guard; v is mirrored for zt so that E = e^{-v}
-    # overflows in that family as e^{v} does in the first
+    # overflows in that family as e^{v} does in the first; numpy's overflow
+    # warning, an error here, never escapes before the DomainError
     if direction == "zt":
         v0 = -v0
     fields = _fields()
@@ -423,7 +448,8 @@ def test_closed_form_guard_is_shared(direction, u0, v0, zeta0):
     fields.u = GridFunction(L, np.full(N, u0, complex))
     fields.v = GridFunction(L, np.full(N, v0, complex))
     u, v = fields.u.total_values(), fields.v.total_values()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DomainError):
             hamiltonian_density(zeta0, fields, direction)
         with pytest.raises(DomainError):
