@@ -22,9 +22,14 @@ terms on Python integers in fixed point at the same bits, as mpmath's own
 series do, and converts the sum back once.  ``working_precision(quad_tol)``
 alone maps a tolerance to those digits and holds the lock that serializes
 precision changes; every entry point here, and every mpmath computation in
-:mod:`gw`, runs under it.
+:mod:`gw`, runs under it.  Every argument of every entry point (t, s, z and
+each period) is converted once, under that lock, by one rule: an mpmath
+number keeps its digits, and any other number goes through ``complex()``
+first, so every numeric type that stands for a double gives that double's
+value.
 
-``log_h`` and ``log_g`` first try Bridgeland's q-series for the kernels (the
+``log_h``, ``log_g`` and the H steps of the G walk share one dispatcher,
+``_kernel``.  It first tries Bridgeland's q-series for the kernels (the
 Gopakumar-Vafa sum in x = e^{2 pi i t/w2} plus its non-perturbative series
 in y = e^{2 pi i (t - w2)/w1}), which converges for non-real w1/w2 when
 |x| < 1 and |y| < 1, and costs milliseconds.  Its value is the branch
@@ -55,7 +60,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PoleError
-from .specfun import bernoulli_egf, gen_bernoulli
+from .specfun import bernoulli_egf, gen_bernoulli, is_mp
 
 __all__ = [
     "barnes_zeta",
@@ -98,30 +103,38 @@ def working_precision(quad_tol: float = DEFAULT_QUAD_TOL):
         yield dps
 
 
-def _check_periods(omega):
+def _mp(x):
+    """x as an mpmath complex at the working precision: an mpmath number
+    keeps its digits, and any other number goes through complex() first."""
+    return mp.mpc(x if is_mp(x) else complex(x))
+
+
+def _periods(omega):
+    """The periods through _mp, checked: one to three, each with positive
+    real part."""
+    omega = tuple(_mp(w) for w in omega)
     if len(omega) not in (1, 2, 3):
         raise DomainError(f"need 1, 2 or 3 periods, got {len(omega)}")
     if not all(mp.re(w) > 0 for w in omega):
         raise DomainError("all periods need positive real part")
+    return omega
 
 
-def _continuation_point(z, omega):
-    """(z, omega) as complex numbers, checked for the split integral."""
-    omega = tuple(complex(w) for w in omega)
-    _check_periods(omega)
-    z = complex(z)
-    if not z.real > 0:
+def _continuation_point(z):
+    """z through _mp, checked for the split integral."""
+    z = _mp(z)
+    if not mp.re(z) > 0:
         raise DomainError(
             "argument needs positive real part; outside this strip use "
             "the difference-equation extension in log_h/log_g")
-    return z, omega
+    return z
 
 
 @functools.lru_cache(maxsize=512)
 def _laurent_coeffs(z, omegas, nmax: int, dps: int):
     """a_n = (-1)^n B_{r,n}(z|omega)/n!, n = 0..nmax, at working precision."""
     with mp.workdps(dps):
-        c = bernoulli_egf(mp.mpc(z), [mp.mpc(w) for w in omegas], nmax)
+        c = bernoulli_egf(z, omegas, nmax)
         return tuple(((-1) ** n) * c[n] for n in range(nmax + 1))
 
 
@@ -134,9 +147,8 @@ class _SplitIntegral:
     """
 
     def __init__(self, z, omegas, quad_tol: float):
-        self.z = mp.mpc(z)
-        self.omegas = tuple(mp.mpc(w) for w in omegas)
-        self.r = len(self.omegas)
+        self.z, self.omegas = z, omegas
+        self.r = len(omegas)
         self.quad_tol = quad_tol
         self.dps = _dps_for(quad_tol)
         wmax = max(abs(w) for w in self.omegas)
@@ -230,35 +242,35 @@ def barnes_zeta(s, z, omega: Sequence[complex],
 
     Raises PoleError at the simple poles s = 1..r.
     """
-    z, omega = _continuation_point(z, omega)
     with working_precision(quad_tol):
-        s_mp = mp.mpc(s)
+        omega = _periods(omega)
+        z, s = _continuation_point(z), _mp(s)
         for k in range(1, len(omega) + 1):
-            if abs(s_mp - k) < 1e-12:
+            if abs(s - k) < 1e-12:
                 raise PoleError(f"zeta_{len(omega)} has a pole at s = {k}")
         core = _SplitIntegral(z, omega, quad_tol)
-        if abs(mp.im(s_mp)) < 1e-12 and abs(s_mp - mp.nint(mp.re(s_mp))) < 1e-12 \
-                and mp.re(s_mp) <= 0.5:
-            m = int(mp.nint(-mp.re(s_mp)))
+        if abs(mp.im(s)) < 1e-12 and abs(s - mp.nint(mp.re(s))) < 1e-12 \
+                and mp.re(s) <= 0.5:
+            m = int(mp.nint(-mp.re(s)))
             return complex(core.zeta_nonpos_int(m))
-        return complex(core.zeta(s_mp))
+        return complex(core.zeta(s))
 
 
 def zeta_at_zero(z, omega: Sequence[complex],
                  quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """zeta_r(0, z | omega) = (-1)^r B_{r,r}(z|omega) / r!."""
-    z, omega = _continuation_point(z, omega)
     with working_precision(quad_tol):
-        return complex(_SplitIntegral(z, omega, quad_tol).zeta_nonpos_int(0))
+        omega = _periods(omega)
+        core = _SplitIntegral(_continuation_point(z), omega, quad_tol)
+        return complex(core.zeta_nonpos_int(0))
 
 
 def log_multiple_gamma(z, omega: Sequence[complex],
                        quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """log Gamma_r(z | omega) := d/ds zeta_r(s, z | omega) at s = 0."""
-    z, omega = _continuation_point(z, omega)
     with working_precision(quad_tol):
-        return complex(_log_gamma_cached(mp.mpc(z), tuple(mp.mpc(w) for w in omega),
-                                         quad_tol))
+        omega = _periods(omega)
+        return complex(_log_gamma_cached(_continuation_point(z), omega, quad_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +285,6 @@ def _require_strip(z, omegas, what: str):
 
 
 def _log_sine_mp(z, omegas, quad_tol: float):
-    z = mp.mpc(z)
-    omegas = tuple(mp.mpc(w) for w in omegas)
     r = len(omegas)
     _require_strip(z, omegas, "log_multiple_sine")
     total = sum(omegas)
@@ -290,10 +300,9 @@ def log_multiple_sine(z, omega: Sequence[complex],
     This is the reflection combination under which sin_1(z|w) = 2 sin(pi z/w)
     and the rank-2/3 kernels below satisfy their exact difference equations.
     """
-    omega = tuple(complex(w) for w in omega)
-    _check_periods(omega)
     with working_precision(quad_tol):
-        return complex(_log_sine_mp(z, omega, quad_tol))
+        omega = _periods(omega)
+        return complex(_log_sine_mp(_mp(z), omega, quad_tol))
 
 
 def _log1mexp(w):
@@ -485,24 +494,8 @@ def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
     return None
 
 
-def _y_sum(tau, c: _Coupling, kernel: str):
-    """The non-perturbative y-series of log G or log H for Im lam_y > 0, in
-    y = e^{2 pi i (tau - 1)/lam_y} and q~ = e^{b_y} = e^{-2 pi i/lam_y}."""
-    a = c.two_pi_i * (tau - 1) / c.lam_y
-    if kernel == "h":
-        return _q_sum(a, c.y_table, c0=1)
-    return _q_sum(a, c.y_table, c0=-tau / c.lam_y, c1=c.inv_lam_y,
-                  c2=c.inv_two_pi_i)
-
-
-@functools.lru_cache(maxsize=16)
-def _ten_to_minus(dps: int, prec: int):
-    """10^-dps at the working bits prec."""
-    return mp.mpf(10) ** -dps
-
-
-def _q_series(t, w1, w2, quad_tol: float, kernel: str):
-    """log G(t|w1,w2) (kernel "g") or log H(t|w1,w2) ("h") from Bridgeland's
+def _q_series(t, w1, w2, quad_tol: float, kind: str):
+    """log G(t|w1,w2) (kind "g") or log H(t|w1,w2) ("h") from Bridgeland's
     q-series, or None where the series cannot be trusted.
 
     With tau = t/w2, lam = w1/w2, x = e^{2 pi i tau}, q = e^{2 pi i lam} and p
@@ -511,8 +504,9 @@ def _q_series(t, w1, w2, quad_tol: float, kernel: str):
         log G = -sum_k (x p)^k / (k (1 - p^k)^2) + D(tau, lam)
         log H = -sum_k x^k / (k (1 - q^k))       + D_H(tau, lam)
 
-    with D, D_H the y-series of _y_sum for Im lam > 0; for Im lam < 0 they
-    are conj(D(1 - conj tau, conj lam)) and -conj(D_H(1 - conj tau, conj lam)).
+    with D, D_H the y-series for Im lam > 0, in y = e^{2 pi i (tau - 1)/lam}
+    and q~ = e^{b_y} = e^{-2 pi i/lam}; for Im lam < 0 they are
+    conj(D(1 - conj tau, conj lam)) and -conj(D_H(1 - conj tau, conj lam)).
     The sums run at _Q_GUARD_DIGITS above the working digits, with the data
     that depends on the coupling alone taken from _coupling.  Near real lam
     both grow large and cancel, so the value is returned only if the
@@ -525,45 +519,48 @@ def _q_series(t, w1, w2, quad_tol: float, kernel: str):
         c = _coupling(w1._mpc_, w2._mpc_, mp.mp.prec)
         if c is None:
             return None
-        # t / 1 rounds t twice, so it is t itself when t fits the working bits
-        prec = mp.mp.prec
-        if w2 == 1 and t._mpc_[0][3] <= prec and t._mpc_[1][3] <= prec:
-            tau = t
-        else:
-            tau = t / w2
-        if kernel == "h":
+        tau = t / w2
+        tau_y = tau if c.up else 1 - mp.conj(tau)
+        a_y = c.two_pi_i * (tau_y - 1) / c.lam_y
+        if kind == "h":
             # x^k / (1 - q^k) = -(x p)^k / (1 - p^k) when p = 1/q
             x_sum = _q_sum(c.two_pi_i * tau + (0 if c.up else c.b_x),
                            c.x_table, c0=-1 if c.up else 1)
+            y_sum = _q_sum(a_y, c.y_table, c0=1)
         else:
             x_sum = _q_sum(c.two_pi_i * tau + c.b_x, c.x_table, c1=-1)
-        if c.up:
-            y_sum = _y_sum(tau, c, kernel)
-        else:
-            y_sum = _y_sum(1 - mp.conj(tau), c, kernel)
-            if y_sum is not None:
-                sign = 1 if kernel == "g" else -1
-                y_sum = (sign * mp.conj(y_sum[0]), y_sum[1])
+            y_sum = _q_sum(a_y, c.y_table, c0=-tau_y / c.lam_y,
+                           c1=c.inv_lam_y, c2=c.inv_two_pi_i)
         if x_sum is None or y_sum is None:
             return None
-        total = x_sum[0] + y_sum[0]
+        y_value = y_sum[0]
+        if not c.up:
+            y_value = mp.conj(y_value) if kind == "g" else -mp.conj(y_value)
+        total = x_sum[0] + y_value
         size = x_sum[1] + y_sum[1]
     value = +total
-    rounding = 10 * size * _ten_to_minus(dps, mp.mp.prec)
+    rounding = 10 * size * mp.mpf(10) ** -dps
     if rounding > quad_tol * max(1, abs(value)):
         return None
     return value
 
 
-def _log_h_mp(t, w1, w2, quad_tol: float):
-    w1, w2 = mp.mpc(w1), mp.mpc(w2)
-    value = _q_series(mp.mpc(t), w1, w2, quad_tol, "h")
+def _kernel(t, w1, w2, quad_tol: float, kind: str):
+    """log G (kind "g") or log H ("h") at mpmath t, w1, w2: the q-series
+    where it answers, and otherwise the quadrature inside the direct strip
+    and the extension walk outside it."""
+    value = _q_series(t, w1, w2, quad_tol, kind)
     if value is not None:
         return value
-    # H(t + w1) = H(t) * (1 - exp(2 pi i t / w2))^{-1}
-    return _walk(mp.mpc(t), w1, w2, 0,
-                 lambda z: _direct_kernel(z, (w1, w2), quad_tol),
-                 lambda s: -_log1mexp(2 * mp.pi * mp.mpc(0, 1) * s / w2))
+    if kind == "h":
+        # H(t + w1) = H(t) * (1 - exp(2 pi i t / w2))^{-1}
+        return _walk(t, w1, w2, 0,
+                     lambda z: _direct_kernel(z, (w1, w2), quad_tol),
+                     lambda s: -_log1mexp(2 * mp.pi * mp.mpc(0, 1) * s / w2))
+    # G(t + w1) = G(t) / H(t + w1 | w1, w2)
+    return _walk(t, w1, w2, w1,
+                 lambda z: _direct_kernel(z, (w1, w1, w2), quad_tol),
+                 lambda s: -_kernel(s + w1, w1, w2, quad_tol, "h"))
 
 
 def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -573,10 +570,9 @@ def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     relation also extends the evaluation to arguments outside the direct
     strip 0 < Re t < Re(w1 + w2).
     """
-    w1, w2 = complex(omega1), complex(omega2)
-    _check_periods((w1, w2))
     with working_precision(quad_tol):
-        return complex(_log_h_mp(t, w1, w2, quad_tol))
+        w1, w2 = _periods((omega1, omega2))
+        return complex(_kernel(_mp(t), w1, w2, quad_tol, "h"))
 
 
 def log_g(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -600,15 +596,8 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
     quad_tol, and otherwise from the quadrature and the extension walk.
     """
     with working_precision(quad_tol):
-        w1, w2 = mp.mpc(omega1), mp.mpc(omega2)
-        _check_periods((w1, w2))
-        value = _q_series(mp.mpc(t), w1, w2, quad_tol, "g")
-        if value is not None:
-            return value
-        # G(t + w1) = G(t) / H(t + w1 | w1, w2)
-        return _walk(mp.mpc(t), w1, w2, w1,
-                     lambda z: _direct_kernel(z, (w1, w1, w2), quad_tol),
-                     lambda s: -_log_h_mp(s + w1, w1, w2, quad_tol))
+        w1, w2 = _periods((omega1, omega2))
+        return _kernel(_mp(t), w1, w2, quad_tol, "g")
 
 
 def check_coupling(lam_check) -> None:
@@ -634,12 +623,12 @@ def nonperturbative_potential(lam_check, t,
     asymptotic genus expansion to apply.
     """
     check_coupling(lam_check)
-    return log_g(t, complex(lam_check), 1.0, quad_tol)
+    return log_g(t, lam_check, 1.0, quad_tol)
 
 
 def fold_2pii(value):
     """Fold a residual into the fundamental 2*pi*i strip; report the winding."""
-    if isinstance(value, (mp.mpf, mp.mpc)):
+    if is_mp(value):
         k = int(mp.nint(mp.im(value) / (2 * mp.pi)))
         return value - 2 * mp.pi * mp.mpc(0, 1) * k, k
     value = complex(value)

@@ -120,10 +120,10 @@ def equivariant_potential(lam_check, t, x, kappa,
 def _second_difference_mp(t, lam_check, quad_tol):
     """Second difference of log_g, both right sides, folded residual, winding."""
     barnes.check_coupling(lam_check)
-    lam_check = complex(lam_check)
     with barnes.working_precision(quad_tol):
-        t, lam = mp.mpc(t), mp.mpc(lam_check)
-        up, mid, dn = (barnes.log_g_highprec(arg, lam_check, 1, quad_tol)
+        # barnes' argument rule: mpmath keeps its digits, the rest is complex()
+        t, lam = (mp.mpc(x if is_mp(x) else complex(x)) for x in (t, lam_check))
+        up, mid, dn = (barnes.log_g_highprec(arg, lam, 1, quad_tol)
                        for arg in (t + lam, t, t - lam))
         lhs = up - 2 * mid + dn
         q = fugacity(t)

@@ -8,9 +8,9 @@ keys and a fixed separator/indent convention.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import re
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -68,39 +68,26 @@ def fmt_value(v):
     return fmt_complex(c)
 
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)[ij])?\s*$")
+_COMPLEX_CHARS = re.compile(r"[0-9.eE+\-ij]*")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' (or 'a', or 'bi') with decimal-exact intermediate
-    parsing, so the same string always produces the same double."""
+    """Parse 'a+bi' (or 'a', or 'bi'; i or j) with Python's complex(), whose
+    float parsing is correctly rounded, so the same string always produces
+    the same double.  Other characters, and values that are not finite,
+    raise DomainError."""
     s = text.strip().replace(" ", "")
-    if s in ("i", "+i"):
-        return 1j
     if s == "-i":
         return -1j
-    # lone imaginary like '2i' / '-0.5i'
-    if s.endswith(("i", "j")) and not _COMPLEX_RE.match(s):
-        body = s[:-1]
-        try:
-            return complex(0.0, float(Decimal(body)))
-        except Exception:
-            raise DomainError(f"cannot parse complex number {text!r}")
-    m = _COMPLEX_RE.match(s)
-    if not m or (m.group("re") is None and m.group("im") is None):
-        raise DomainError(f"cannot parse complex number {text!r}")
-    re_part = m.group("re")
-    im_part = m.group("im")
-    re_val = float(Decimal(re_part)) if re_part else 0.0
-    if im_part is None:
-        im_val = 0.0
-    elif im_part in ("+", "-"):
-        im_val = 1.0 if im_part == "+" else -1.0
-    else:
-        im_val = float(Decimal(im_part))
-    return complex(re_val, im_val)
+    try:
+        if not _COMPLEX_CHARS.fullmatch(s):
+            raise ValueError
+        value = complex(s.replace("i", "j"))
+    except ValueError:
+        raise DomainError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"complex number {text!r} is not finite")
+    return value
 
 
 def dump_json(payload: dict) -> str:

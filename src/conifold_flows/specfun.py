@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import threading
 from fractions import Fraction
 from typing import Sequence, Union
@@ -159,16 +160,17 @@ def gen_bernoulli(r: int, n: int, z, omega: Sequence):
 # integer-order polylogarithms
 # ---------------------------------------------------------------------------
 
-_STIRLING2: dict[tuple[int, int], int] = {(0, 0): 1}
-
-
-def _stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind, memoized."""
-    if k < 0 or k > n:
-        return 0
-    if (n, k) not in _STIRLING2:
-        _STIRLING2[(n, k)] = k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-    return _STIRLING2[(n, k)]
+def _negative_order_coefficients(n: int, limit=None):
+    """k! S(n+1, k+1) for k = 0..n (S the Stirling numbers of the second
+    kind), built row by row from a(m, k) = (k+1) a(m-1, k) + k a(m-1, k-1);
+    None as soon as a row holds an integer above limit (rows only grow)."""
+    row = [1]
+    for _ in range(n):
+        row = [(k + 1) * a + k * b
+               for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+        if limit is not None and max(row) > limit:
+            return None
+    return row
 
 
 def _log(x):
@@ -181,7 +183,8 @@ def polylog(s: int, z, tol: float = 1e-15):
     Closed forms for s <= 1 (rational in z for s <= 0, principal log for
     s = 1); direct power series with a proven tail bound for s in {2, 3},
     valid for |z| < 1.  Accepts ``complex`` or mpmath scalars and computes
-    in the matching arithmetic.
+    in the matching arithmetic; in doubles, s <= -160 raises DomainError,
+    because a rational coefficient of Li_s exceeds the largest double.
     """
     if s > 3:
         raise DomainError(f"order {s} not supported (maximum 3)")
@@ -193,12 +196,16 @@ def polylog(s: int, z, tol: float = 1e-15):
         if s == 1:
             return -_log(1 - z)
         # Li_{-n}(z) = sum_{k=0}^{n} k! S(n+1, k+1) (z/(1-z))^{k+1}
-        n = -s
+        coeffs = _negative_order_coefficients(
+            -s, None if is_mp(z) else int(sys.float_info.max))
+        if coeffs is None:
+            raise DomainError(f"Li_{s}: its coefficients k! S({1 - s}, k+1) "
+                              "exceed the double range; pass an mpmath argument")
         w = z / (1 - z)
         acc = z * 0
         w_pow = w
-        for k in range(n + 1):
-            acc += math.factorial(k) * _stirling2(n + 1, k + 1) * w_pow
+        for c in coeffs:
+            acc += c * w_pow
             w_pow = w_pow * w
         return acc
     # s in {2, 3}: series sum_{m>=1} z^m / m^s with tail bound

@@ -455,6 +455,85 @@ def test_nonperturbative_potential_is_log_g():
 
 
 # ---------------------------------------------------------------------------
+# one argument rule: every numeric type gives its double's value
+
+_NUMERIC_TYPES = {
+    "int": int, "np.int64": np.int64, "float": float, "np.float64": np.float64,
+    "Fraction": Fraction, "mp.mpf": mp.mpf, "complex": complex,
+    "np.complex128": np.complex128, "mp.mpc": mp.mpc,
+}
+_INTEGER_TYPES = ("int", "np.int64")
+_COMPLEX_TYPES = ("complex", "np.complex128", "mp.mpc")
+
+# entry point, its default arguments (a tuple holds the periods), and for
+# each argument, named by its index (i, j for period j of argument i), an
+# (integer, real, complex) value, each exact in every type that can hold
+# it; the kernels' values keep them on the q-series
+_KERNEL_VALUES = {0: (1, 0.5, 0.25 + 0.5j), 1: (1, 0.5, 0.25 + 0.125j),
+                  2: (1, 1.5, 1 - 0.25j)}
+_ENTRY_POINTS = {
+    "barnes_zeta": (barnes_zeta, (2.5, 0.7, (1.0,)), {
+        0: (3, 2.5, 2.5 + 0.5j), 1: (1, 0.75, 0.7 + 0.125j),
+        (2, 0): (1, 1.25, 1 + 0.125j)}),
+    "zeta_at_zero": (zeta_at_zero, (0.5, (1.0, 2.0)), {
+        0: (1, 0.25, 0.4 + 0.1j), (1, 0): (1, 1.5, 1 + 0.5j),
+        (1, 1): (3, 2.5, 2 - 0.25j)}),
+    "log_multiple_gamma": (log_multiple_gamma, (0.5, (1.0,)), {
+        0: (1, 0.25, 0.5 + 0.25j), (1, 0): (2, 1.5, 1 + 0.25j)}),
+    "log_multiple_sine": (log_multiple_sine, (0.5, (3.0,)), {
+        0: (1, 0.25, 0.5 + 0.25j), (1, 0): (3, 1.5, 1.5 + 0.25j)}),
+    "log_h": (log_h, (0.3 + 0.4j, 0.2 + 0.1j, 1 - 0.5j), _KERNEL_VALUES),
+    "log_g": (log_g, (0.3 + 0.4j, 0.2 + 0.1j, 1 - 0.5j), _KERNEL_VALUES),
+    "log_g_highprec": (log_g_highprec, (0.3 + 0.4j, 0.2 + 0.1j, 1 - 0.5j),
+                       _KERNEL_VALUES),
+    "nonperturbative_potential": (nonperturbative_potential,
+                                  (0.1 + 0.1j, 0.3 + 0.4j), {
+        0: (1, 0.5, 0.25 + 0.125j), 1: (0, 0.5, 0.25 + 0.5j)}),
+    "check_coupling": (barnes.check_coupling, (0.1 + 0.1j,), {
+        0: (1, 0.5, 0.25 + 0.125j)}),
+}
+
+
+def _with_argument(args, position, value):
+    args = list(args)
+    if isinstance(position, int):
+        args[position] = value
+    else:
+        i, j = position
+        args[i] = args[i][:j] + (value,) + args[i][j + 1:]
+    return args
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+@pytest.mark.parametrize("entry, position", [
+    pytest.param(entry, position, id=f"{entry}-arg{position}" if isinstance(
+        position, int) else f"{entry}-arg{position[0]}[{position[1]}]")
+    for entry, (_, _, values) in _ENTRY_POINTS.items() for position in values])
+def test_every_numeric_type_gives_its_doubles_value(entry, position):
+    # each numeric type, at each argument of each public entry point,
+    # answers what the plain double (or complex double) of the same value
+    # answers, or raises DomainError where that does
+    fn, defaults, values = _ENTRY_POINTS[entry]
+    int_value, real_value, complex_value = values[position]
+    for name, kind in _NUMERIC_TYPES.items():
+        if name in _COMPLEX_TYPES:
+            value, plain = kind(complex_value), complex_value
+        else:
+            base = int_value if name in _INTEGER_TYPES else real_value
+            value, plain = kind(base), float(base)
+        want = _outcome(fn, _with_argument(defaults, position, plain))
+        got = _outcome(fn, _with_argument(defaults, position, value))
+        assert got == want, (entry, position, name)
+        assert type(got) is type(want), (entry, position, name)
+
+
+# ---------------------------------------------------------------------------
 # guards and folding
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: report schema, determinism, exit codes."""
 import argparse
 import json
+import math
 import warnings
 
 import mpmath
@@ -345,6 +346,76 @@ def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv, names):
     assert names in lines[0]
 
 
+_MALFORMED = ("1-e+5i", "0.3+1e400i", "1_0i", "nan", "-_Infi")
+
+
+# every numeric option of every subcommand, after the arguments that make
+# the subcommand read it and keep its run short
+_NUMERIC_OPTIONS = [
+    ("specfun eval", ["specfun", "eval"],
+     {"--bernoulli": None, "--polylog S": lambda v: ["--polylog", v, "2"],
+      "--polylog Z": lambda v: ["--polylog", "2", v]}),
+    ("barnes eval zeta", ["barnes", "eval", "--function", "zeta", "--s", "0.5"],
+     {"--z": None, "--s": None, "--omega": None, "--quad-tol": None}),
+    ("barnes eval log-h",
+     ["barnes", "eval", "--function", "log-h", "--omega", "0.1+0.1i,1"],
+     {"--t": None, "--omega": None}),
+    ("barnes eval log-g",
+     ["barnes", "eval", "--function", "log-g", "--lam", "0.1+0.1i"],
+     {"--t": None, "--lam": None}),
+    ("gw eval", ["gw", "eval", "--genus", "2"], {"--genus": None, "--t": None}),
+    ("gw eval potential", ["gw", "eval", "--potential", "--lam", "0.1+0.1i"],
+     {"--t": None, "--lam": None, "--x": None, "--kappa": None}),
+    ("gw check-diff", ["gw", "check-diff"],
+     {"--t": None, "--lambda": None, "--tol": None, "--quad-tol": None}),
+    ("gw scan-asymptotics",
+     ["gw", "scan-asymptotics", "--points", "3", "--genus", "2"],
+     {"--t": None, "--theta": None, "--genus": None, "--eps": None,
+      "--points": None, "--band": None}),
+    ("hirota check", ["hirota", "check"],
+     {"--seed": None, "--sites": None, "--tol": None}),
+    ("al run",
+     ["al", "run", "--N", "8", "--steps", "10", "--planewave", "A=0.3,B=0.2,mode=1"],
+     {"--N": None, "--dt": None, "--steps": None, "--tol": None,
+      "--drift-tol": None,
+      "--planewave A": lambda v: ["--planewave", f"A={v},B=0.2,mode=1"],
+      "--planewave B": lambda v: ["--planewave", f"A=0.3,B={v},mode=1"]}),
+    ("disp run", ["disp", "run", "--grid", "8", "--T", "0.01", "--dt", "0.005"],
+     {"--grid": None, "--length": None, "--seed": None, "--flow": None,
+      "--T": None, "--dt": None}),
+    ("disp check", ["disp", "check", "--grid", "8"],
+     {"--grid": None, "--length": None, "--seed": None, "--zeta": None,
+      "--t": None, "--x": None, "--tol": None}),
+]
+
+
+def _exits_2_with_one_error_line(capsys, argv):
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    assert "Traceback" not in captured.err, argv
+    # argparse's own rejections print a usage line before theirs
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1, \
+        (argv, captured.err)
+
+
+@pytest.mark.parametrize("base, option, spell", [
+    pytest.param(base, option, spell, id=f"{label} {option}")
+    for label, base, options in _NUMERIC_OPTIONS
+    for option, spell in options.items()])
+def test_malformed_numbers_exit_2_with_one_error_line(capsys, base, option,
+                                                      spell):
+    for value in _MALFORMED:
+        _exits_2_with_one_error_line(
+            capsys, base + (spell(value) if spell else [option, value]))
+
+
+@pytest.mark.parametrize("order", ["-200", "-3000"])
+def test_polylog_past_the_double_range_exits_2(capsys, order):
+    _exits_2_with_one_error_line(
+        capsys, ["specfun", "eval", "--polylog", order, "0.5"])
+
+
 def test_bad_flag_and_missing_command_exit_2(capsys):
     assert main(["specfun", "eval", "--bogus"]) == 2
     assert main([]) == 2
@@ -435,6 +506,20 @@ def test_complex_formatting_round_trip():
     assert parse_complex("1e-3") == 1e-3
     with pytest.raises(DomainError):
         parse_complex("zebra")
+
+
+def test_parse_complex_reads_with_complex_and_rejects_the_rest():
+    # Python's complex() reads the numbers, correctly rounded, with i or j;
+    # "-i" keeps its negative real zero; digit separators, words, other
+    # characters and values that are not finite raise DomainError
+    assert parse_complex("0.1+0.2i") == complex("0.1+0.2j")
+    assert parse_complex("-2.5e-3j") == -2.5e-3j
+    minus_i = parse_complex("-i")
+    assert (math.copysign(1, minus_i.real), minus_i.imag) == (-1.0, -1.0)
+    for text in ("1-e+5i", "0.3+1e400i", "1e400", "1_0i", "-_Infi", "nan",
+                 "inf", "(1+2j)", "1J", "1+2i+3i", ""):
+        with pytest.raises(DomainError):
+            parse_complex(text)
 
 
 def test_float_formatting_round_trips_doubles():

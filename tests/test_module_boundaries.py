@@ -99,3 +99,20 @@ def test_package_reexports_only_listed_names():
     exported = set(conifold_flows.__all__) - {"__version__"}
     assert exported - listed == set()
     assert all(hasattr(conifold_flows, n) for n in conifold_flows.__all__)
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's traced mode wraps these (module, attribute path)
+    # names and fails on one that is missing, so a rename must update it
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    pairs = [ast.literal_eval(key) for key in targets.keys]
+    assert len(pairs) > 10
+    for module_name, path in pairs:
+        owner = importlib.import_module(f"conifold_flows.{module_name}")
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, path)

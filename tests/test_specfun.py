@@ -143,6 +143,24 @@ def test_polylog_positive_orders_against_mpmath(s):
         assert abs(polylog(s, z) - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def test_polylog_negative_orders_up_to_the_double_range():
+    # the coefficients k! S(n + 1, k + 1) of Li_{-n} reach past the largest
+    # double at n = 160: a double argument answers through order -159 (at
+    # 0 < z < 1, where no terms cancel) and raises DomainError from -160 on,
+    # whatever z and however far past; an mpmath argument keeps every order
+    for s in (-30, -100, -159):
+        for z in (0.5, 0.1):
+            want = complex(mp.polylog(s, z))
+            assert abs(polylog(s, z) - want) <= 1e-12 * abs(want), (s, z)
+    for s in (-160, -200, -3000):
+        for z in (0.5, 1e-6):
+            with pytest.raises(DomainError, match=f"Li_{s}:"):
+                polylog(s, z)
+    with mp.workdps(30):
+        got, want = polylog(-200, mp.mpf(0.5)), mp.polylog(-200, mp.mpf(0.5))
+        assert abs(got - want) <= 1e-25 * abs(want)
+
+
 def test_polylog_dilog_special_value():
     assert abs(polylog(2, 0.5) - (mp.pi**2 / 12 - mp.log(2) ** 2 / 2)) < 1e-14
 
