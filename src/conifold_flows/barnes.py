@@ -8,11 +8,12 @@ The rank-r zeta function  zeta_r(s, z | omega) = sum_{n in Z_{>=0}^r} (z + n.ome
 
 with a_n = (-1)^n B_{r,n}(z|omega) / n!  (generalized Bernoulli data) the
 Laurent coefficients of the integrand, integrated termwise on (0, x0) with
-x0 = 1/2 and N = 64.  The s-derivative at s = 0 yields the log multiple
-gamma; multiple sines combine two gamma values; the kernels ``log_h`` and
-``log_g`` add explicit generalized Bernoulli prefactors and satisfy exact
-first/second difference equations which are also used to extend evaluation
-outside the strip where the integral representation converges.
+x0 = 1/2 and N = 64, and cut where e^{-Re(z) T} falls below 1e-18 and
+quad_tol/1000.  The s-derivative at s = 0 yields the log multiple gamma.
+As a_n(|omega| - z) = (-1)^n a_n(z), a multiple sine takes one Laurent set
+and one quadrature.  Inside 0 < Re z < Re |omega| the kernels ``log_h``
+(r = 2) and ``log_g`` (r = 3) are log sin_r - pi i a_r; their exact
+first/second difference equations extend them outside.
 
 All heavy arithmetic runs at a working precision derived from the
 requested quadrature tolerance, so that the severe cancellation between
@@ -23,10 +24,10 @@ series do, and converts the sum back once.  ``working_precision(quad_tol)``
 alone maps a tolerance to those digits and holds the lock that serializes
 precision changes; every entry point here, and every mpmath computation in
 :mod:`gw`, runs under it.  Every argument of every entry point (t, s, z and
-each period) is converted once, under that lock, by one rule: an mpmath
-number keeps its digits, and any other number goes through ``complex()``
-first, so every numeric type that stands for a double gives that double's
-value.
+each period) is converted once, under that lock, by ``specfun.as_mp``: an
+mpmath number keeps its digits, and any other number goes through
+``complex()`` first, so every numeric type that stands for a double gives
+that double's value.
 
 ``log_h``, ``log_g`` and the H steps of the G walk share one dispatcher,
 ``_kernel``.  It first tries Bridgeland's q-series for the kernels (the
@@ -60,7 +61,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PoleError
-from .specfun import bernoulli_egf, gen_bernoulli, is_mp
+from .specfun import as_mp, bernoulli_egf, is_mp
 
 __all__ = [
     "barnes_zeta",
@@ -103,16 +104,10 @@ def working_precision(quad_tol: float = DEFAULT_QUAD_TOL):
         yield dps
 
 
-def _mp(x):
-    """x as an mpmath complex at the working precision: an mpmath number
-    keeps its digits, and any other number goes through complex() first."""
-    return mp.mpc(x if is_mp(x) else complex(x))
-
-
 def _periods(omega):
-    """The periods through _mp, checked: one to three, each with positive
+    """The periods through as_mp, checked: one to three, each with positive
     real part."""
-    omega = tuple(_mp(w) for w in omega)
+    omega = tuple(as_mp(w) for w in omega)
     if len(omega) not in (1, 2, 3):
         raise DomainError(f"need 1, 2 or 3 periods, got {len(omega)}")
     if not all(mp.re(w) > 0 for w in omega):
@@ -121,8 +116,8 @@ def _periods(omega):
 
 
 def _continuation_point(z):
-    """z through _mp, checked for the split integral."""
-    z = _mp(z)
+    """z through as_mp, checked for the split integral."""
+    z = as_mp(z)
     if not mp.re(z) > 0:
         raise DomainError(
             "argument needs positive real part; outside this strip use "
@@ -157,8 +152,8 @@ class _SplitIntegral:
                 "period modulus above 10 exceeds the Laurent-series radius "
                 "used on (0, 1/2); rescale with the homogeneity relation")
         self.x0 = mp.mpf("0.5")
-        # upper end of the integral: e^{-Re(z) T} < 1e-18
-        self.T = max(mp.mpf(2), 18 * mp.log(10) / mp.re(self.z))
+        # -log of the decay where the integrals end: min(1e-18, quad_tol/1000)
+        self.cut = mp.log(10) * max(18, 3 - math.log10(quad_tol))
         self.a = _laurent_coeffs(self.z, self.omegas, _LAURENT_ORDER, self.dps)
         # the series on (0, x0) must have converged by its last term
         scale = max(abs(an) for an in self.a) + mp.mpf(1)
@@ -167,15 +162,16 @@ class _SplitIntegral:
             raise DomainError("Laurent series of the integrand converges too "
                               "slowly; reduce the period moduli")
 
-    def _integrand(self, x):
-        val = mp.exp(-self.z * x)
+    def _integrand(self, x, num):
         for w in self.omegas:
-            val /= -mp.expm1(-w * x)
-        return val
+            num /= -mp.expm1(-w * x)
+        return num
 
-    def _quad(self, fn):
-        mid = min(1 + 4 / mp.re(self.z), self.T / 2 + mp.mpf("0.5"))
-        points = [self.x0, mp.mpf(1), mid, self.T]
+    def _quad(self, fn, rate):
+        # cut at the T where fn's decay e^{-rate T} reaches e^{-self.cut}
+        T = max(mp.mpf(2), self.cut / rate)
+        mid = min(1 + 4 / rate, T / 2 + mp.mpf("0.5"))
+        points = [self.x0, mp.mpf(1), mid, T]
         val, err = mp.quad(fn, points, error=True)
         if err > self.quad_tol:
             val, err = mp.quad(fn, points, maxdegree=9, error=True)
@@ -196,13 +192,16 @@ class _SplitIntegral:
             terms = [x0s * an * self.x0 ** (n - self.r) / (s + n - self.r)
                      for n, an in enumerate(a)]
             series = mp.fsum(terms)
-            integral = self._quad(lambda x: x ** (s - 1) * self._integrand(x))
+            integral = self._quad(
+                lambda x: x ** (s - 1) * self._integrand(x, mp.exp(-self.z * x)),
+                mp.re(self.z))
             gamma = mp.gamma(s)
             value = (series + integral) / gamma
             # 1/Gamma(s) magnifies what that cancellation leaves: the
             # rounding, the series truncation, estimated by its last term,
             # and the integral cut at T, estimated by its leading tail
-            cut = self.T ** (mp.re(s) - 1) * mp.exp(-mp.re(self.z) * self.T)
+            T = max(mp.mpf(2), self.cut / mp.re(self.z))  # as in _quad
+            cut = T ** (mp.re(s) - 1) * mp.exp(-mp.re(self.z) * T)
             err = (max(abs(series), abs(integral)) * mp.mpf(10) ** -dps
                    + abs(terms[-1]) + cut / mp.re(self.z)) / abs(gamma)
         if err > self.quad_tol * max(1, abs(value)):
@@ -228,12 +227,23 @@ class _SplitIntegral:
         for n, an in enumerate(self.a):
             if n != self.r:
                 acc += an * self.x0 ** (n - self.r) / (n - self.r)
-        return acc + self._quad(lambda x: self._integrand(x) / x)
+        return acc + self._quad(
+            lambda x: self._integrand(x, mp.exp(-self.z * x)) / x, mp.re(self.z))
 
-
-@functools.lru_cache(maxsize=1024)
-def _log_gamma_cached(z, omegas, quad_tol: float):
-    return _SplitIntegral(z, omegas, quad_tol).log_gamma()
+    def log_sine(self):
+        # log_gamma at z and at z' = |omega| - z, whose Laurent set is
+        # (-1)^n a_n: the a_r terms and the terms with n + r even cancel
+        z, r = self.z, self.r
+        z_ref = sum(self.omegas) - z
+        if not (mp.re(z) > 0 and mp.re(z_ref) > 0):
+            raise DomainError("log_multiple_sine needs 0 < Re z < Re |omega|")
+        series = mp.fsum(an * self.x0 ** (n - r) / (n - r)
+                         for n, an in enumerate(self.a) if (n + r) % 2)
+        sign = (-1) ** r
+        return -2 * series + self._quad(
+            lambda x: self._integrand(
+                x, sign * mp.exp(-z_ref * x) - mp.exp(-z * x)) / x,
+            min(mp.re(z), mp.re(z_ref)))
 
 
 def barnes_zeta(s, z, omega: Sequence[complex],
@@ -244,7 +254,7 @@ def barnes_zeta(s, z, omega: Sequence[complex],
     """
     with working_precision(quad_tol):
         omega = _periods(omega)
-        z, s = _continuation_point(z), _mp(s)
+        z, s = _continuation_point(z), as_mp(s)
         for k in range(1, len(omega) + 1):
             if abs(s - k) < 1e-12:
                 raise PoleError(f"zeta_{len(omega)} has a pole at s = {k}")
@@ -270,28 +280,13 @@ def log_multiple_gamma(z, omega: Sequence[complex],
     """log Gamma_r(z | omega) := d/ds zeta_r(s, z | omega) at s = 0."""
     with working_precision(quad_tol):
         omega = _periods(omega)
-        return complex(_log_gamma_cached(_continuation_point(z), omega, quad_tol))
+        core = _SplitIntegral(_continuation_point(z), omega, quad_tol)
+        return complex(core.log_gamma())
 
 
 # ---------------------------------------------------------------------------
 # multiple sine and the difference-equation kernels
 # ---------------------------------------------------------------------------
-
-def _require_strip(z, omegas, what: str):
-    if mp.re(z) <= 0:
-        raise DomainError(f"{what}: argument real part must be positive")
-    if mp.re(sum(omegas) - z) <= 0:
-        raise DomainError(f"{what}: reflected argument real part must be positive")
-
-
-def _log_sine_mp(z, omegas, quad_tol: float):
-    r = len(omegas)
-    _require_strip(z, omegas, "log_multiple_sine")
-    total = sum(omegas)
-    lg = _log_gamma_cached(z, omegas, quad_tol)
-    lg_ref = _log_gamma_cached(total - z, omegas, quad_tol)
-    return -lg + ((-1) ** r) * lg_ref
-
 
 def log_multiple_sine(z, omega: Sequence[complex],
                       quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -302,7 +297,7 @@ def log_multiple_sine(z, omega: Sequence[complex],
     """
     with working_precision(quad_tol):
         omega = _periods(omega)
-        return complex(_log_sine_mp(_mp(z), omega, quad_tol))
+        return complex(_SplitIntegral(as_mp(z), omega, quad_tol).log_sine())
 
 
 def _log1mexp(w):
@@ -315,13 +310,12 @@ def _log1mexp(w):
     return mp.log(1 - mp.exp(w))
 
 
+@functools.lru_cache(maxsize=1024)
 def _direct_kernel(z, om, quad_tol: float):
-    """(-1)^(r+1) (pi i / r!) B_{r,r}(z|om) + log sin_r(z|om): log H at r = 2
-    and log G (z = t + w1, om = (w1, w1, w2)) at r = 3, inside the strip."""
-    r = len(om)
-    pref = (-1) ** (r + 1) * mp.pi * mp.mpc(0, 1) / math.factorial(r) \
-        * gen_bernoulli(r, r, z, om)
-    return pref + _log_sine_mp(z, om, quad_tol)
+    """log sin_r(z|om) - pi i a_r(z|om) inside the strip: log H at r = 2, and
+    log G at r = 3 with z = t + w1, om = (w1, w1, w2)."""
+    core = _SplitIntegral(z, om, quad_tol)
+    return core.log_sine() - mp.pi * mp.mpc(0, 1) * core.a[len(om)]
 
 
 def _walk(t, w1, w2, offset, direct, step):
@@ -572,7 +566,7 @@ def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """
     with working_precision(quad_tol):
         w1, w2 = _periods((omega1, omega2))
-        return complex(_kernel(_mp(t), w1, w2, quad_tol, "h"))
+        return complex(_kernel(as_mp(t), w1, w2, quad_tol, "h"))
 
 
 def log_g(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -597,7 +591,7 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
     """
     with working_precision(quad_tol):
         w1, w2 = _periods((omega1, omega2))
-        return _kernel(_mp(t), w1, w2, quad_tol, "g")
+        return _kernel(as_mp(t), w1, w2, quad_tol, "g")
 
 
 def check_coupling(lam_check) -> None:

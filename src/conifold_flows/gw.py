@@ -23,7 +23,7 @@ import numpy as np
 
 from . import barnes
 from .errors import DomainError
-from .specfun import bernoulli_number, is_mp, polylog
+from .specfun import as_mp, bernoulli_number, is_mp, polylog
 
 __all__ = [
     "fugacity",
@@ -121,8 +121,7 @@ def _second_difference_mp(t, lam_check, quad_tol):
     """Second difference of log_g, both right sides, folded residual, winding."""
     barnes.check_coupling(lam_check)
     with barnes.working_precision(quad_tol):
-        # barnes' argument rule: mpmath keeps its digits, the rest is complex()
-        t, lam = (mp.mpc(x if is_mp(x) else complex(x)) for x in (t, lam_check))
+        t, lam = as_mp(t), as_mp(lam_check)
         up, mid, dn = (barnes.log_g_highprec(arg, lam, 1, quad_tol)
                        for arg in (t + lam, t, t - lam))
         lhs = up - 2 * mid + dn
@@ -172,8 +171,7 @@ def truncated_difference_residual(lam_check, t, genus_cap: int,
     including lam^(2 genus_cap); the residual therefore shrinks like
     lam^(2 genus_cap + 2)."""
     with barnes.working_precision(series_tol):
-        lam_check_mp = mp.mpc(lam_check)
-        t_mp = mp.mpc(t)
+        lam_check_mp, t_mp = as_mp(lam_check), as_mp(t)
         lam = 2 * mp.pi * lam_check_mp
 
         def f_trunc(arg):
@@ -202,7 +200,7 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
         raise DomainError("need at least two distinct ray points eps to fit a slope")
     xs, ys = [], []
     with barnes.working_precision(quad_tol) as dps:
-        t_mp = mp.mpc(t)
+        t_mp = as_mp(t)
         if not mp.im(t_mp) > 0:
             raise DomainError("need Im t > 0")
         if abs(fugacity(t_mp)) > 0.5:
@@ -211,7 +209,7 @@ def asymptotic_remainder_scan(t, theta: float, eps_list: Sequence[float],
         series_tol = float(mp.mpf(10) ** (-(dps - 3)))
         genus_values = [free_energy_genus(g, t_mp, series_tol)
                         for g in range(genus_cap + 1)]
-        phase = mp.exp(1j * mp.mpf(theta))
+        phase = mp.exp(1j * as_mp(theta))
         for eps in eps_list:
             lam_check = mp.mpf(repr(float(eps))) * phase
             barnes.check_coupling(lam_check)

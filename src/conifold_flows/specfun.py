@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 __all__ = [
+    "as_mp",
     "bernoulli_number",
     "bernoulli_egf",
     "dense_mul",
@@ -88,6 +89,12 @@ def dense_mul(a, b):
 def is_mp(x) -> bool:
     """True for mpmath real and complex scalars."""
     return isinstance(x, (mp.mpf, mp.mpc))
+
+
+def as_mp(x):
+    """x as an mpmath complex: an mpmath number keeps its digits, any other
+    number goes through complex() first and so gives its double's value."""
+    return mp.mpc(x if is_mp(x) else complex(x))
 
 
 def bernoulli_egf(z, omegas, nmax: int):

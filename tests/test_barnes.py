@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conifold_flows import DomainError, barnes
+from conifold_flows import DomainError, barnes, gw
 from conifold_flows.barnes import (
     barnes_zeta,
     fold_2pii,
@@ -49,6 +49,23 @@ def test_gamma1_normalization():
         got = log_multiple_gamma(z, (1.0,))
         want = complex(mp.loggamma(z) - mp.log(2 * mp.pi) / 2)
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("z", [0.7, 1.5, 2.5, 0.3 + 0.2j])
+def test_split_integral_cut_follows_the_tolerance(z):
+    # the integral is cut where its decay falls below quad_tol/1000, so at
+    # quad_tol 1e-30 the rank-1 gamma and sine hold their closed forms to
+    # that tolerance (a cut fixed at 1e-18 left them off by about 2e-20)
+    tol = 1e-30
+    with working_precision(tol):
+        z = mp.mpc(z)
+        core = barnes._SplitIntegral(z, (mp.mpc(1),), tol)
+        want = mp.loggamma(z) - mp.log(2 * mp.pi) / 2
+        assert abs(core.log_gamma() - want) <= tol * max(1, abs(want)), z
+        z = z / 4  # inside the strip 0 < Re z < 1
+        core = barnes._SplitIntegral(z, (mp.mpc(1),), tol)
+        want = mp.log(2 * mp.sin(mp.pi * z))
+        assert abs(core.log_sine() - want) <= tol * max(1, abs(want)), z
 
 
 def test_zeta_at_zero_rank1_hurwitz():
@@ -127,6 +144,34 @@ def test_sine_rank1_closed_form():
         assert abs(got - want) < 1e-10
 
 
+def _sine_points():
+    """One draw at each rank 1-3: complex periods, z inside the strip."""
+    rng = np.random.default_rng(3)
+    pts = []
+    for r in (1, 2, 3):
+        omega = tuple(complex(rng.uniform(0.6, 1.6), rng.uniform(-0.3, 0.3))
+                      for _ in range(r))
+        z = complex(rng.uniform(0.1, 0.9) * sum(omega).real,
+                    rng.uniform(-0.4, 0.4))
+        pts.append((z, omega))
+    return pts
+
+
+def test_sine_is_its_gamma_reflection():
+    # log sin_r(z) = -log Gamma_r(z) + (-1)^r log Gamma_r(|omega| - z): the
+    # sine takes both gammas from one Laurent set and one quadrature, the
+    # gammas each from their own; |omega| - z is formed in mpmath, so both
+    # sides see the same reflected argument
+    for z, omega in _sine_points():
+        with working_precision():
+            z_ref = mp.fsum(mp.mpc(w) for w in omega) - mp.mpc(z)
+        lg, lg_ref = log_multiple_gamma(z, omega), log_multiple_gamma(z_ref, omega)
+        want = -lg + (-1) ** len(omega) * lg_ref
+        got = log_multiple_sine(z, omega)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(lg), abs(lg_ref)), \
+            (z, omega)
+
+
 def test_sine_homogeneity():
     z, omega, c = 0.8 + 0.1j, (1.0, 1.2), 2.3
     a = log_multiple_sine(c * z, tuple(c * w for w in omega))
@@ -200,6 +245,17 @@ def _oracle(kernel, t, w1, w2):
                 + 1j * math.pi / 6 * gen_bernoulli(3, 3, z, om))
     om = (w1, w2)
     return log_multiple_sine(t, om) - 1j * math.pi / 2 * gen_bernoulli(2, 2, t, om)
+
+
+@pytest.mark.parametrize("kernel", ["g", "h"])
+def test_kernels_at_real_coupling_match_the_oracle(kernel):
+    # a real coupling has no q-series: inside the strip the kernel is the
+    # quadrature's multiple sine less pi i a_r, and the oracle adds the
+    # Bernoulli prefactor from gen_bernoulli instead
+    for t, lam in [(0.3 + 0.4j, 0.2), (0.62 + 0.25j, 0.07)]:
+        got = (log_g if kernel == "g" else log_h)(t, lam, 1.0)
+        want = _oracle(kernel, t, lam, 1.0)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (t, lam)
 
 
 def _series_points():
@@ -468,7 +524,8 @@ _COMPLEX_TYPES = ("complex", "np.complex128", "mp.mpc")
 # entry point, its default arguments (a tuple holds the periods), and for
 # each argument, named by its index (i, j for period j of argument i), an
 # (integer, real, complex) value, each exact in every type that can hold
-# it; the kernels' values keep them on the q-series
+# it; the kernels' values keep them on the q-series.  The gw checks take
+# their arguments into mpmath by the same rule
 _KERNEL_VALUES = {0: (1, 0.5, 0.25 + 0.5j), 1: (1, 0.5, 0.25 + 0.125j),
                   2: (1, 1.5, 1 - 0.25j)}
 _ENTRY_POINTS = {
@@ -491,6 +548,16 @@ _ENTRY_POINTS = {
         0: (1, 0.5, 0.25 + 0.125j), 1: (0, 0.5, 0.25 + 0.5j)}),
     "check_coupling": (barnes.check_coupling, (0.1 + 0.1j,), {
         0: (1, 0.5, 0.25 + 0.125j)}),
+    "check_difference_equation": (
+        gw.check_difference_equation, (0.14 - 0.33j, -0.12 + 0.5j),
+        {1: (1, 0.5, 0.375 + 0.375j)}),
+    "truncated_difference_residual": (
+        gw.truncated_difference_residual, (0.08, 0.35 + 0.35j, 2),
+        {0: (1, 0.125, 0.125 + 0.0625j), 1: (1, 0.5, 0.375 + 0.375j)}),
+    "asymptotic_remainder_scan": (
+        gw.asymptotic_remainder_scan,
+        (0.35 + 0.35j, math.pi / 4, [0.05, 0.1], 2),
+        {0: (1, 0.5, 0.375 + 0.375j), 1: (1, 0.5, 0.5 + 0.125j)}),
 }
 
 
