@@ -66,6 +66,7 @@ from .hirota import (
     first_order_claim_residual,
     first_order_triple,
     hirota_residual,
+    hirota_residuals,
     miwa_shift,
     tau_from_lattice,
 )
@@ -137,6 +138,7 @@ __all__ = [
     "FlowDerivatives",
     "miwa_shift",
     "hirota_residual",
+    "hirota_residuals",
     "extract_time_derivatives",
     "first_order_triple",
     "first_order_claim_residual",

@@ -196,8 +196,7 @@ def _cmd_hirota_check(args) -> dict:
     vacuum = hirota.TauTriple.from_numbers([0.0] * n, [0.0] * n, [1.0] * n,
                                            first_site=-(n // 2))
     vacuum_max = 0.0
-    for eq in hirota.HIROTA_EQUATION_IDS:
-        res = hirota.hirota_residual(vacuum, eq, 1)
+    for res in hirota.hirota_residuals(vacuum, 1).values():
         for series in res.values():
             if not series.is_zero():
                 vacuum_max = max(vacuum_max, series.max_abs())

@@ -286,28 +286,37 @@ def _legendre_terms(e, f, order: int):
 
 
 def _coefficients(e_n, p_prev, p):
-    """(n [zeta^n] G_u, n [zeta^n] G_v) from E^n, P_{n-1}(x) and P_n(x)."""
-    return 0.5 * e_n * (p_prev - p), -0.5 * e_n * (p_prev + p)
+    """(n [zeta^n] G_u, n [zeta^n] G_v) from E^n, P_{n-1}(x) and P_n(x), as
+    the rows of one (2, N) array."""
+    out = np.empty((2,) + p.shape, dtype=complex)
+    np.multiply(0.5 * e_n, p_prev - p, out=out[0])
+    np.multiply(-0.5 * e_n, p_prev + p, out=out[1])
+    return out
 
 
-def _flow_pair(c_u, c_v, length: float, sign: float):
-    """(sign * i d/dx c_u, i d/dx c_v): a flow from its zeta-coefficients,
-    both rows through one transform pair."""
-    d_u, d_v = spectral_derivative(np.stack((c_u, c_v)), length)
-    return sign * 1j * d_u, 1j * d_v
+# (s_dir i, i) by family sign: the column that turns d/dx of the two
+# coefficient rows into a flow
+_FLOW_PHASES = {s: np.array([[s * 1j], [1j]]) for s in (1.0, -1.0)}
+
+
+def _flow_pair(c, length: float, sign: float) -> np.ndarray:
+    """(sign * i d/dx c_u, i d/dx c_v) as one (2, N) array: a flow from the
+    rows (c_u, c_v) of its zeta-coefficients, through one transform pair and
+    one column multiply."""
+    d = spectral_derivative(c, length)
+    return np.multiply(_FLOW_PHASES[sign], d, out=d)
 
 
 def _flow_series(fields: DispersionlessFields, sign: float, order: int):
-    """Tuples of j [zeta^j] G_u and j [zeta^j] G_v for j = 1..order, on the
-    total values of the fields."""
+    """(j [zeta^j] G_u, j [zeta^j] G_v) as (2, N) arrays for j = 1..order,
+    on the total values of the fields."""
     if order < 1:
         raise TruncationOrderError("expansion order must be at least 1")
     with np.errstate(over="ignore"):
         terms = _legendre_terms(*_exponentials(fields.u.total_values(),
                                                fields.v.total_values(), sign),
                                 order)
-    c_u, c_v = zip(*(_coefficients(*t) for t in terms))
-    return c_u, c_v
+    return [_coefficients(*t) for t in terms]
 
 
 def flow_generating_series(fields: DispersionlessFields, direction: str,
@@ -315,13 +324,15 @@ def flow_generating_series(fields: DispersionlessFields, direction: str,
     """Expansions of the two log generating functions up to the given
     order; returns (G_u, G_v) as lists of grid arrays, entry j being the
     zeta^j coefficient (entry 0 is zero)."""
-    c_u, c_v = _flow_series(fields, _family_sign(direction), order)
-    return ([np.zeros_like(c_u[0])] + [c / j for j, c in enumerate(c_u, 1)],
-            [np.zeros_like(c_v[0])] + [c / j for j, c in enumerate(c_v, 1)])
+    series = [c / j for j, c in enumerate(
+        _flow_series(fields, _family_sign(direction), order), 1)]
+    return tuple([np.zeros_like(series[0][row])] + [c[row] for c in series]
+                 for row in (0, 1))
 
 
 def _flow_coefficients(u, v, j: int, sign: float):
-    """(j [zeta^j] G_u, j [zeta^j] G_v), which drive the j-th flow."""
+    """(j [zeta^j] G_u, j [zeta^j] G_v) as one (2, N) array: the
+    coefficients that drive the j-th flow."""
     if j < 1:
         raise DomainError("flow index must be a positive integer")
     *_, last = _legendre_terms(*_exponentials(u, v, sign), j)
@@ -337,9 +348,9 @@ def flow_rhs(fields: DispersionlessFields, j: int, direction: str):
     length = fields.u.length
     sign = _family_sign(direction)
     with np.errstate(over="ignore"):
-        c_u, c_v = _flow_coefficients(fields.u.total_values(),
-                                      fields.v.total_values(), j, sign)
-    du, dv = _flow_pair(c_u, c_v, length, sign)
+        c = _flow_coefficients(fields.u.total_values(),
+                               fields.v.total_values(), j, sign)
+    du, dv = _flow_pair(c, length, sign)
     return GridFunction(length, du), GridFunction(length, dv)
 
 
@@ -351,11 +362,9 @@ def recombined_flow(zeta0: complex, fields: DispersionlessFields,
     if not jmax * math.log(abs(z) or 1.0) < _LOG_FLOAT_MAX:
         raise DomainError(f"zeta = {z} overflows at power jmax = {jmax}")
     sign = _family_sign(direction)
-    c_u, c_v = _flow_series(fields, sign, jmax)
-    acc_u = sum(z ** j * c for j, c in enumerate(c_u, 1))
-    acc_v = sum(z ** j * c for j, c in enumerate(c_v, 1))
+    acc = sum(z ** j * c for j, c in enumerate(_flow_series(fields, sign, jmax), 1))
     length = fields.u.length
-    du, dv = _flow_pair(acc_u, acc_v, length, sign)
+    du, dv = _flow_pair(acc, length, sign)
     return GridFunction(length, du), GridFunction(length, dv)
 
 
@@ -546,12 +555,18 @@ class FrobeniusData:
 
 
 def _second_derivative_fd(fn, center, step):
-    """5-point second derivative with one Richardson refinement."""
-    def d2(h):
-        return (-fn(center + 2 * h) + 16 * fn(center + h) - 30 * fn(center)
-                + 16 * fn(center - h) - fn(center - 2 * h)) / (12.0 * h * h)
-    coarse = d2(step)
-    fine = d2(step / 2.0)
+    """5-point second derivative with one Richardson refinement.  The fine
+    stencil (step/2) reaches out to the coarse one's inner points, so the
+    two share those and the centre: seven values of fn instead of ten."""
+    half = step / 2.0
+    mid = fn(center)
+    plus, minus = fn(center + step), fn(center - step)
+
+    def d2(h, far_plus, far_minus, near_plus, near_minus):
+        return (-far_plus + 16 * near_plus - 30 * mid
+                + 16 * near_minus - far_minus) / (12.0 * h * h)
+    coarse = d2(step, fn(center + 2 * step), fn(center - 2 * step), plus, minus)
+    fine = d2(half, plus, minus, fn(center + half), fn(center - half))
     return (16.0 * fine - coarse) / 15.0
 
 
@@ -681,14 +696,17 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
         return values if slope == 0 else values + slope * xs
 
     def rhs(state):
-        c_u, c_v = _flow_coefficients(total(state[0], su), total(state[1], sv),
-                                      j, sign)
-        du, dv = _flow_pair(c_u, c_v, length, sign)
-        return [du, dv] if varpi is None else [du, dv, -sign * 1j * c_u]
+        c = _flow_coefficients(total(state[0], su), total(state[1], sv),
+                               j, sign)
+        flow = _flow_pair(c, length, sign)
+        if varpi is None:
+            return flow
+        return np.concatenate((flow, -sign * 1j * c[:1]))
 
-    state = [fields.u.values, fields.v.values]
-    if varpi is not None:
-        state.append(np.zeros_like(fields.u.values))
+    # rows u, v and, with a potential attached, the time integral of its
+    # right side
+    state = np.zeros((2 if varpi is None else 3, fields.u.size), dtype=complex)
+    state[0], state[1] = fields.u.values, fields.v.values
 
     gradient0 = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
     limit = _CATASTROPHE_FACTOR * max(gradient0, 1e-300)

@@ -19,6 +19,8 @@ residuals vanish to machine level rather than to a discretization tolerance.
 from __future__ import annotations
 
 import cmath
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ __all__ = [
     "TauTriple",
     "miwa_shift",
     "hirota_residual",
+    "hirota_residuals",
     "FlowDerivatives",
     "extract_time_derivatives",
     "first_order_triple",
@@ -115,53 +118,89 @@ def miwa_shift(f: TruncatedSeries, direction: str, scale) -> TruncatedSeries:
     """
     if direction not in ("z", "zt"):
         raise DomainError("direction must be 'z' or 'zt'")
-    ring = f.ring
-    zeta = ring.variable("zeta")
     out = f
+    for name, replacement in _miwa_replacements(f.ring, direction, scale):
+        out = out.substitute(name, replacement)
+    return out
+
+
+# typed: scales that compare equal but differ in type (1, 1.0, Fraction(1))
+# give replacements of different coefficient types, so they are kept apart
+@functools.lru_cache(maxsize=32, typed=True)
+def _miwa_replacements(ring: SeriesRing, direction: str, scale):
+    """(z_j, z_j + scale * zeta^j / j) for the time variables of one
+    direction, built once per ring, direction and scale."""
+    zeta = ring.variable("zeta")
+    out = []
     for j in range(1, _time_var_count(ring) + 1):
         name = f"{direction}{j}"
         # Fraction(1, j) keeps exact coefficient types exact; conversion to
         # float happens only when scale itself is inexact
         coeff = scale if j == 1 else scale * Fraction(1, j)
-        out = out.substitute(name, ring.variable(name) + (zeta ** j) * coeff)
-    return out
+        out.append((name, ring.variable(name) + (zeta ** j) * coeff))
+    return tuple(out)
 
 
 def hirota_residual(triple: TauTriple, eq_id: str, zeta_order: int):
     """Left minus right side of one bilinear identity, per interior site,
     truncated to the requested zeta order.
 
-    Returns a dict site -> TruncatedSeries.  Orders above
+    Returns a dict site -> TruncatedSeries.  The order must be a
+    nonnegative integer (DomainError otherwise).  Orders above
     min(zeta cap, number of time variables) are not claimable because
     truncated-away time variables would contribute there; requesting them
     raises TruncationOrderError.
     """
-    if eq_id not in HIROTA_EQUATION_IDS:
-        raise DomainError(f"unknown equation id {eq_id!r}")
+    return _residuals(triple, (eq_id,), zeta_order)[eq_id]
+
+
+def hirota_residuals(triple: TauTriple, zeta_order: int) -> dict:
+    """All six bilinear identities, as a dict equation id -> the dict of
+    `hirota_residual`; the triple is Miwa-shifted once per direction."""
+    return _residuals(triple, HIROTA_EQUATION_IDS, zeta_order)
+
+
+def _residuals(triple: TauTriple, eq_ids, zeta_order) -> dict:
+    """The residuals of the listed identities; each direction's shifted
+    triple is made once, by the first identity that needs it."""
+    for eq_id in eq_ids:
+        if eq_id not in HIROTA_EQUATION_IDS:
+            raise DomainError(f"unknown equation id {eq_id!r}")
+    try:
+        order = operator.index(zeta_order)
+    except TypeError:
+        raise DomainError(f"zeta order {zeta_order!r} is not an integer") from None
+    if order < 0:
+        raise DomainError(f"zeta order {order} is negative")
     ring = triple.ring
     claim_cap = min(ring.var_caps[ring.index("zeta")], _time_var_count(ring))
-    if zeta_order > claim_cap:
+    if order > claim_cap:
         raise TruncationOrderError(
-            f"zeta order {zeta_order} exceeds the claimable cap {claim_cap}")
-    # d, e, f are a, b, c in the zt direction with n - 1 and n + 1 swapped
-    direction, step = ("z", 1) if eq_id in ("a", "b", "c") else ("zt", -1)
+            f"zeta order {order} exceeds the claimable cap {claim_cap}")
     sig, rho, tau = triple.sigma, triple.rho, triple.tau
-    Ssig = {n: miwa_shift(sig[n], direction, 1j) for n in triple.sites}
-    Srho = {n: miwa_shift(rho[n], direction, 1j) for n in triple.sites}
-    Stau = {n: miwa_shift(tau[n], direction, 1j) for n in triple.sites}
     zeta = ring.variable("zeta")
+    shifted = {}
     out = {}
-    for n in triple.interior:
-        lo, hi = n - step, n + step
-        if eq_id in ("a", "d"):
-            res = tau[n] * Stau[n] - rho[n] * Ssig[n] - tau[lo] * Stau[hi]
-        elif eq_id in ("b", "e"):
-            res = (tau[n] * Ssig[n] - sig[n] * Stau[n]
-                   - zeta * (tau[lo] * Ssig[hi]))
-        else:
-            res = (rho[n] * Stau[n] - tau[n] * Srho[n]
-                   - zeta * (rho[lo] * Stau[hi]))
-        out[n] = _truncate_zeta(res, zeta_order)
+    for eq_id in eq_ids:
+        # d, e, f are a, b, c in the zt direction with n - 1 and n + 1 swapped
+        direction, step = ("z", 1) if eq_id in ("a", "b", "c") else ("zt", -1)
+        if direction not in shifted:
+            shifted[direction] = tuple(
+                {n: miwa_shift(f[n], direction, 1j) for n in triple.sites}
+                for f in (sig, rho, tau))
+        Ssig, Srho, Stau = shifted[direction]
+        res_eq = out[eq_id] = {}
+        for n in triple.interior:
+            lo, hi = n - step, n + step
+            if eq_id in ("a", "d"):
+                res = tau[n] * Stau[n] - rho[n] * Ssig[n] - tau[lo] * Stau[hi]
+            elif eq_id in ("b", "e"):
+                res = (tau[n] * Ssig[n] - sig[n] * Stau[n]
+                       - zeta * (tau[lo] * Ssig[hi]))
+            else:
+                res = (rho[n] * Stau[n] - tau[n] * Srho[n]
+                       - zeta * (rho[lo] * Stau[hi]))
+            res_eq[n] = _truncate_zeta(res, order)
     return out
 
 
@@ -317,8 +356,7 @@ def first_order_claim_residual(triple: TauTriple) -> dict:
     fo = first_order_triple(triple)
     monos = first_order_claim_monomials(triple.ring)
     out = {}
-    for eq in HIROTA_EQUATION_IDS:
-        res = hirota_residual(fo, eq, 1)
+    for eq, res in hirota_residuals(fo, 1).items():
         worst = 0.0
         for series in res.values():
             for e in monos:

@@ -5,8 +5,9 @@ The state is a pair of complex fields a_n, b_n on Z/NZ evolving under
     da_n/dt = -i (a_{n+1} + a_{n-1}) (1 - a_n b_n)
     db_n/dt = +i (b_{n+1} + b_{n-1}) (1 - a_n b_n)
 
-with fixed-step fourth-order Runge-Kutta time stepping; the neighbour sums
-a_{n+1} + a_{n-1} are taken by slices, the two wrap-around sites apart.
+with fixed-step fourth-order Runge-Kutta time stepping on one (2, N) array
+with rows a and b; the neighbour sums a_{n+1} + a_{n-1} are taken by slices,
+the two wrap-around sites apart.
 The product C0 = sum_n log(1 - a_n b_n) is a first integral and is tracked
 along trajectories as an accuracy diagnostic.  Plane waves
 
@@ -109,45 +110,47 @@ class PlaneWaveParams:
                             float(t))
 
 
-def _neighbours(a: np.ndarray, phase: complex, factor: np.ndarray):
-    """phase * (a_{n+1} + a_{n-1}) * factor on the ring, by slices."""
-    buf = np.empty_like(a)
-    np.add(a[2:], a[:-2], out=buf[1:-1])
-    buf[0] = a[1] + a[-1]
-    buf[-1] = a[0] + a[-2]
-    buf *= phase
-    buf *= factor
-    return buf
-
-
-def _rhs_arrays(a: np.ndarray, b: np.ndarray):
+def _rhs(y: np.ndarray) -> np.ndarray:
+    """(da/dt, db/dt) as one (2, N) array from the (2, N) state (a, b).
+    The factor 1 - a b and its singular guard are shared; each row's
+    neighbour sum is taken by slices, the two wrap-around sites apart.  (A
+    2-d sliced sum times the column (-i, +i) gives the same bits, but with
+    numpy 2.4 on a 2-CPU Xeon it made a 4096-site run about 12 % slower.)"""
+    a, b = y
     factor = 1.0 - a * b
     size = np.abs(factor)
     # fmin skips NaN, as the elementwise comparison does
     if np.fmin.reduce(size) < _SINGULAR_TOL:
         raise SingularStateError(
             f"state reached the singular locus a*b = 1 at site {int(size.argmin())}")
-    return _neighbours(a, -1j, factor), _neighbours(b, 1j, factor)
+    out = np.empty_like(y)
+    for f, buf, phase in ((a, out[0], -1j), (b, out[1], 1j)):
+        np.add(f[2:], f[:-2], out=buf[1:-1])
+        buf[0] = f[1] + f[-1]
+        buf[-1] = f[0] + f[-2]
+        buf *= phase
+        buf *= factor
+    return out
 
 
 def al_rhs(state: LatticeState):
-    """Right side (da/dt, db/dt) of the lattice flow."""
-    return _rhs_arrays(state.a, state.b)
+    """Right side (da/dt, db/dt) of the lattice flow, as the rows of one
+    array."""
+    return _rhs(np.stack((state.a, state.b)))
 
 
-def rk4(f, y, dt: float) -> list:
-    """One classical RK4 step of dy/dt = f(y), the state y being a sequence
-    of arrays."""
+def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y) on an array state y, whose
+    rows may be several fields."""
     k1 = f(y)
-    k2 = f([a + 0.5 * dt * k for a, k in zip(y, k1)])
-    k3 = f([a + 0.5 * dt * k for a, k in zip(y, k2)])
-    k4 = f([a + dt * k for a, k in zip(y, k3)])
-    return [a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(state: LatticeState, dt: float) -> LatticeState:
-    a, b = rk4(lambda y: _rhs_arrays(*y), (state.a, state.b), dt)
+    a, b = rk4(_rhs, np.stack((state.a, state.b)), dt)
     return LatticeState(a, b, state.time + dt)
 
 
@@ -197,17 +200,22 @@ def integrate(state: LatticeState, steps: int, dt: float,
     traj = Trajectory(dt=float(dt), sample_every=int(sample_every))
     traj.states.append(state)
     traj.conserved.append(conserved_quantity(state))
+    # the steps of `rk4_step` on one (2, N) array; a state is built only
+    # at samples
+    y, t = np.stack((state.a, state.b)), state.time
     # overflow is reported at the next sample, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             try:
-                state = rk4_step(state, dt)
+                y = rk4(_rhs, y, dt)
+                t = t + dt
                 if k % sample_every == 0 or k == steps:
+                    state = LatticeState(y[0], y[1], t)
                     traj.states.append(state)
                     traj.conserved.append(conserved_quantity(state))
             except SingularStateError as exc:
                 raise SingularStateError(
-                    f"{exc} (aborted during step {k}, t = {state.time:.6g})") from None
+                    f"{exc} (aborted during step {k}, t = {t:.6g})") from None
     return traj
 
 

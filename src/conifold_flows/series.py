@@ -22,6 +22,7 @@ import cmath
 import math
 from fractions import Fraction
 from math import comb
+from operator import add, le
 from typing import Iterable, Mapping
 
 import mpmath as mp
@@ -58,9 +59,7 @@ class SeriesRing:
             raise DomainError(f"no variable named {name!r}") from None
 
     def admits(self, exps: tuple[int, ...]) -> bool:
-        if sum(exps) > self.total_cap:
-            return False
-        return all(e <= c for e, c in zip(exps, self.var_caps))
+        return sum(exps) <= self.total_cap and all(map(le, exps, self.var_caps))
 
     def zero(self) -> "TruncatedSeries":
         return TruncatedSeries(self, {})
@@ -146,7 +145,7 @@ class TruncatedSeries:
         out = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 if not ring.admits(k):
                     continue
                 s = out.get(k, 0) + c1 * c2
@@ -232,11 +231,27 @@ class TruncatedSeries:
         powers = [self.ring.constant(1)]
         for _ in range(max_e):
             powers.append(powers[-1] * replacement)
-        total = self.ring.zero()
+        # the sum of powers[key[i]] * c x^rest over the terms, built in one
+        # dict rather than by copying the running sum for every term; each
+        # coefficient sees the operations of `__mul__` and `__add__`, in
+        # their order
+        ring = self.ring
+        total = {}
         for key, c in self.terms():
             rest = key[:i] + (0,) + key[i + 1:]
-            total = total + powers[key[i]] * TruncatedSeries(self.ring, {rest: c})
-        return total
+            for k1, c1 in powers[key[i]].coeffs.items():
+                k = tuple(map(add, k1, rest))
+                if not ring.admits(k):
+                    continue
+                term = 0 + c1 * c
+                if _is_zero(term):
+                    continue
+                s = total.get(k, 0) + term
+                if _is_zero(s):
+                    total.pop(k, None)
+                else:
+                    total[k] = s
+        return TruncatedSeries(ring, total)
 
     def __repr__(self):
         if not self.coeffs:

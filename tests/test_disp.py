@@ -515,6 +515,39 @@ def test_density_constraint_holds_near_zeros_of_s_squared():
             direction, zeta, seed, rep["max_residual"])
 
 
+def _ten_point_second_derivative(fn, center, step):
+    """The Richardson pair of 5-point stencils, every point evaluated."""
+    def d2(h):
+        return (-fn(center + 2 * h) + 16 * fn(center + h) - 30 * fn(center)
+                + 16 * fn(center - h) - fn(center - 2 * h)) / (12.0 * h * h)
+    return (16.0 * d2(step / 2.0) - d2(step)) / 15.0
+
+
+@pytest.mark.parametrize("direction", ["z", "zt"])
+def test_density_constraint_shares_stencil_points_exactly(direction, monkeypatch):
+    # the fine stencil's outer points and centre are points of the coarse
+    # one, so seven density values per line give the bits of all ten
+    shared = disp._second_derivative_fd
+    calls = []
+
+    def counting(fn, center, step):
+        def counted(x):
+            calls.append(x)
+            return fn(x)
+        return shared(counted, center, step)
+
+    cases = [(0.15 + 0.1j, seed) for seed in (7, 12, 54)]
+    cases += [(zeta, seed) for d, zeta, seed in _DENSITY_HARD_POINTS if d == direction]
+    for zeta, seed in cases:
+        monkeypatch.setattr(disp, "_second_derivative_fd", counting)
+        del calls[:]
+        got = check_density_constraint(direction, zeta, seed)
+        assert len(calls) == 20 * 2 * 7
+        monkeypatch.setattr(disp, "_second_derivative_fd",
+                            _ten_point_second_derivative)
+        assert got == check_density_constraint(direction, zeta, seed)
+
+
 def test_density_constraint_fppp_identity():
     rep = check_density_constraint()
     assert rep["fppp_identity_error"] < 1e-12

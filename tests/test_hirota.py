@@ -1,5 +1,6 @@
 """Bilinear tau-function identities, Miwa shifts, and flow extraction."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from conifold_flows.hirota import (
     default_ring,
     euler_step,
     extract_time_derivatives,
+    first_order_claim_monomials,
     first_order_claim_residual,
     first_order_triple,
     hirota_residual,
+    hirota_residuals,
     miwa_shift,
     tau_from_lattice,
 )
@@ -70,8 +73,74 @@ def test_miwa_shift_moves_times_by_zeta_powers():
     assert miwa_shift(ring.variable("zt1"), "z", 1j) == ring.variable("zt1")
 
 
+def test_miwa_replacements_are_kept_apart_by_scale_type_and_direction():
+    # replacements are built once per ring, direction and scale; scales
+    # that compare equal but differ in type must not share one
+    ring = default_ring(time_vars=2, zeta_cap=4, total_cap=6)
+    z2, zt1 = ring.variable("z2"), ring.variable("zt1")
+    exact = miwa_shift(z2, "z", Fraction(1))
+    inexact = miwa_shift(z2, "z", 1.0)
+    assert type(exact.coefficient(zeta=2)) is Fraction
+    assert exact.coefficient(zeta=2) == Fraction(1, 2)
+    assert type(inexact.coefficient(zeta=2)) is float
+    assert type(miwa_shift(z2, "z", Fraction(1)).coefficient(zeta=2)) is Fraction
+    one, i = miwa_shift(z2, "z", 1), miwa_shift(z2, "z", 1j)
+    assert one.coefficient(zeta=2) == Fraction(1, 2)
+    assert i.coefficient(zeta=2) == 0.5j
+    assert miwa_shift(zt1, "z", 1j) == zt1
+    assert miwa_shift(zt1, "zt", 1j) == zt1 + 1j * ring.variable("zeta")
+    assert miwa_shift(zt1, "zt", 1) == zt1 + ring.variable("zeta")
+
+
 # ---------------------------------------------------------------------------
 # residuals
+
+
+def _fresh_residual(triple, eq_id, order):
+    """One bilinear identity with every field shifted by its own
+    miwa_shift call, as a reference for the shared shifts."""
+    direction, step = ("z", 1) if eq_id in "abc" else ("zt", -1)
+    sig, rho, tau = triple.sigma, triple.rho, triple.tau
+    zeta = triple.ring.variable("zeta")
+    i = triple.ring.index("zeta")
+    out = {}
+    for n in triple.interior:
+        lo, hi = n - step, n + step
+
+        def S(f, m):
+            return miwa_shift(f[m], direction, 1j)
+
+        if eq_id in "ad":
+            res = tau[n] * S(tau, n) - rho[n] * S(sig, n) - tau[lo] * S(tau, hi)
+        elif eq_id in "be":
+            res = (tau[n] * S(sig, n) - sig[n] * S(tau, n)
+                   - zeta * (tau[lo] * S(sig, hi)))
+        else:
+            res = (rho[n] * S(tau, n) - tau[n] * S(rho, n)
+                   - zeta * (rho[lo] * S(tau, hi)))
+        out[n] = {k: c for k, c in res.coeffs.items() if k[i] <= order}
+    return out
+
+
+def test_shared_shifts_match_fresh_shifts_exactly():
+    a, b = _random_lattice(7, seed=61)
+    triple = tau_from_lattice(a, b, first_site=-3)
+    fo = first_order_triple(triple)
+    n = 5
+    vacuum = TauTriple.from_numbers([0.0] * n, [0.0] * n, [1.0] * n)
+    for t in (fo, vacuum):
+        every = hirota_residuals(t, 1)
+        assert tuple(every) == HIROTA_EQUATION_IDS
+        for eq in HIROTA_EQUATION_IDS:
+            want = _fresh_residual(t, eq, 1)
+            assert {m: s.coeffs for m, s in every[eq].items()} == want
+            assert {m: s.coeffs for m, s in hirota_residual(t, eq, 1).items()} == want
+    monos = first_order_claim_monomials(triple.ring)
+    claims = {eq: max((abs(complex(c.get(e, 0))) for c in
+                       _fresh_residual(fo, eq, 1).values() for e in monos),
+                      default=0.0)
+              for eq in HIROTA_EQUATION_IDS}
+    assert first_order_claim_residual(triple) == claims
 
 
 def test_vacuum_residuals_identically_zero():
@@ -90,6 +159,20 @@ def test_unknown_equation_and_order_cap():
         hirota_residual(vac, "g", 1)
     with pytest.raises(TruncationOrderError):
         hirota_residual(vac, "a", 99)
+
+
+@pytest.mark.parametrize("order", [-1, -5, 0.5, 1.0, "1", None])
+def test_zeta_order_must_be_a_nonnegative_integer(order):
+    # a negative order used to truncate every coefficient away, so the
+    # residual read as identically zero whatever the triple; this one is no
+    # tau triple (tau^2 - sigma rho - tau(n-1) tau(n+1) = -0.02)
+    triple = TauTriple.from_numbers([0.1] * 5, [0.2] * 5, [1.0] * 5)
+    with pytest.raises(DomainError, match="zeta order"):
+        hirota_residual(triple, "a", order)
+    with pytest.raises(DomainError, match="zeta order"):
+        hirota_residuals(triple, order)
+    for series in hirota_residual(triple, "a", 0).values():
+        assert series.constant_term() == pytest.approx(-0.02)
 
 
 def test_first_order_residuals_on_random_data():

@@ -121,6 +121,70 @@ def test_rk4_step_matches_a_written_out_tableau_bitwise():
     assert state.time == pytest.approx(200 * dt)
 
 
+def _stepwise(state, steps, dt, sample_every):
+    """integrate() written out over rk4_step, one LatticeState per step."""
+    states = [state]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            try:
+                state = rk4_step(state, dt)
+                if k % sample_every == 0 or k == steps:
+                    states.append(state)
+                    conserved_quantity(state)
+            except SingularStateError as exc:
+                raise SingularStateError(
+                    f"{exc} (aborted during step {k}, t = {state.time:.6g})") from None
+    return states
+
+
+@pytest.mark.parametrize("dt", [1e-2, -1e-2])
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_integrate_matches_a_loop_of_steps_bitwise(n, dt):
+    # integrate steps one (2, N) array and builds states only at samples;
+    # it must land on the bits of rk4_step applied step by step
+    rng = np.random.default_rng(n)
+    a = 0.4 * (rng.random(n) - 0.5) + 0.3j * (rng.random(n) - 0.5)
+    b = 0.4 * (rng.random(n) - 0.5) - 0.3j * (rng.random(n) - 0.5)
+    state = LatticeState(a, b, time=0.25)
+    traj = integrate(state, steps=23, dt=dt, sample_every=5)
+    want = _stepwise(state, 23, dt, 5)
+    assert [s.time for s in traj.states] == [s.time for s in want]
+    for got, ref in zip(traj.states, want):
+        assert np.array_equal(got.a, ref.a) and np.array_equal(got.b, ref.b)
+    assert traj.conserved == [conserved_quantity(s) for s in want]
+    assert np.max(np.abs(traj.states[-1].a - a)) > 1e-3  # the state moved
+
+
+@pytest.mark.parametrize("dt", [0.5, -0.5])
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_integrate_aborts_with_the_steps_message(n, dt):
+    # site 0 sees the a-neighbour sum 2s and no b-neighbours, so with
+    # s = i/(dt b_0) the second RK4 stage puts a_0 b_0 on 1 (to rounding):
+    # the first step aborts on the singular locus
+    a = np.zeros(n, complex)
+    b = np.zeros(n, complex)
+    a[0], b[0] = 0.3, 0.5
+    a[1] = a[-1] = 1j / (dt * b[0])
+    state = LatticeState(a, b, time=0.25)
+    with pytest.raises(SingularStateError) as want:
+        _stepwise(state, 10, dt, 3)
+    with pytest.raises(SingularStateError) as got:
+        integrate(state, 10, dt, sample_every=3)
+    assert "singular locus a*b = 1 at site 0" in str(want.value)
+    assert str(got.value) == str(want.value)
+    # a state that leaves the float range is caught at the next sample,
+    # whose step and time (after the step) the message names
+    rng = np.random.default_rng(n)
+    big = 2.0 * (rng.random((2, n)) - 0.5 + 1j * (rng.random((2, n)) - 0.5))
+    state = LatticeState(big[0], big[1])
+    with pytest.raises(SingularStateError) as want:
+        _stepwise(state, 200, dt, 10)
+    with pytest.raises(SingularStateError) as got:
+        integrate(state, 200, dt, sample_every=10)
+    assert "left the float range" in str(want.value)
+    assert str(got.value) == str(want.value)
+
+
 def test_time_reversibility():
     pw = _pw()
     fwd = integrate(pw.state_at(0.0), steps=200, dt=1e-3, sample_every=200)

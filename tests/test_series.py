@@ -74,6 +74,34 @@ def test_substitution_is_a_homomorphism(ring):
     assert lhs == rhs
 
 
+def test_substitution_is_the_sum_of_its_products_bitwise(ring):
+    # substitute accumulates into one dict; it must give the coefficients,
+    # their order and the signs of their zeros that adding up the products
+    # powers[e] * c x^rest with + and * gives, on inexact coefficients that
+    # cancel and on a variable the series lacks
+    zeta, z1, zt1 = (ring.variable(n) for n in ("zeta", "z1", "zt1"))
+    f = (ring.constant(0.3 - 0.1j) + (1.7 + 2.1j) * z1 + (-0.2 + 1e-17j) * z1 * z1
+         + complex(0.5, -0.0) * zeta * zt1 + (0.1 + 0.3j) * z1 ** 3 * zeta)
+    repl = z1 + (0.3 + 1j / 3) * zeta + (-0.7 + 0.1j) * zeta ** 2
+
+    def summed(f, name, repl):
+        i = ring.index(name)
+        powers = [ring.constant(1)]
+        for _ in range(max(k[i] for k in f.coeffs)):
+            powers.append(powers[-1] * repl)
+        total = ring.zero()
+        for key, c in f.terms():
+            rest = key[:i] + (0,) + key[i + 1:]
+            total = total + powers[key[i]] * TruncatedSeries(ring, {rest: c})
+        return total
+
+    for name in ("z1", "zt1", "zeta"):
+        for g in (f, f * f):
+            got = list(g.substitute(name, repl).coeffs.items())
+            want = list(summed(g, name, repl).coeffs.items())
+            assert [(k, repr(c)) for k, c in got] == [(k, repr(c)) for k, c in want]
+
+
 def test_inverse(ring):
     f = _sample(ring)
     assert f * series_inverse(f) == ring.constant(1)
