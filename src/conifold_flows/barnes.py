@@ -269,10 +269,7 @@ def barnes_zeta(s, z, omega: Sequence[complex],
 def zeta_at_zero(z, omega: Sequence[complex],
                  quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """zeta_r(0, z | omega) = (-1)^r B_{r,r}(z|omega) / r!."""
-    with working_precision(quad_tol):
-        omega = _periods(omega)
-        core = _SplitIntegral(_continuation_point(z), omega, quad_tol)
-        return complex(core.zeta_nonpos_int(0))
+    return barnes_zeta(0, z, omega, quad_tol)
 
 
 def log_multiple_gamma(z, omega: Sequence[complex],

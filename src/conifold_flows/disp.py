@@ -146,8 +146,7 @@ def _check_commensurate(gf: GridFunction, label: str):
     if gf.mean_slope == 0:
         return
     w = gf.mean_slope * gf.length
-    k = round(w.imag / (2.0 * math.pi))
-    if abs(w - 2j * math.pi * k) > _COMMENSURATE_TOL:
+    if abs(fold_2pii(w)[0]) > _COMMENSURATE_TOL:
         raise DomainError(
             f"{label} slope is incommensurate: slope*L = {w} is not a "
             "multiple of 2*pi*i, so exponentials of the field are not periodic")
@@ -264,9 +263,9 @@ def _legendre_terms(e, f, order: int):
     """E^n, P_{n-1}(x) and P_n(x) for n = 1..order, with x = 2F - 1, for
     the Legendre form of the module docstring.  Bonnet's recurrence
     (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1} runs forward, the stable
-    direction for P_n."""
-    with np.errstate(over="ignore"):  # an infinite x fails the test below
-        x = 2.0 * f - 1.0
+    direction for P_n.  Callers silence numpy's overflow warning around
+    the whole iteration: an infinite x fails the test below."""
+    x = 2.0 * f - 1.0
     # |E^n| = |E|^n and, by Laplace's integral, |P_n(x)| <= r^n with
     # r = |x| + sqrt(|x|^2 + 1), so the top order decides whether any power,
     # polynomial or step of the recurrence overflows; it is tested before
@@ -313,10 +312,10 @@ def _flow_series(fields: DispersionlessFields, sign: float, order: int):
     if order < 1:
         raise TruncationOrderError("expansion order must be at least 1")
     with np.errstate(over="ignore"):
-        terms = _legendre_terms(*_exponentials(fields.u.total_values(),
-                                               fields.v.total_values(), sign),
-                                order)
-    return [_coefficients(*t) for t in terms]
+        e, f = _exponentials(fields.u.total_values(), fields.v.total_values(),
+                             sign)
+        # drained inside the scope, since the generator computes as it is read
+        return [_coefficients(*t) for t in _legendre_terms(e, f, order)]
 
 
 def flow_generating_series(fields: DispersionlessFields, direction: str,
@@ -489,7 +488,9 @@ def check_hamiltonian_form(zeta0: complex, fields: DispersionlessFields,
     du_rec, dv_rec = recombined_flow(zeta0, fields, direction, order)
 
     gu_cl, gv_cl = hamiltonian_gradients(zeta0, u, v, direction)
-    du_cl, dv_cl = (g.values for g in delta_flow(zeta0, fields, direction))
+    # delta_flow's closed grouped flow d/dx (dh/dv, dh/du), from these gradients
+    du_cl = spectral_derivative(gv_cl, length)
+    dv_cl = spectral_derivative(gu_cl, length)
     gu_1, gv_1 = _centered_gradients(zeta0, u, v, sign, 1e-4)
     gu_p, gv_p = _centered_gradients(zeta0, u, v, sign, 5e-5)
     gu_fd = (4.0 * gu_p - gu_1) / 3.0

@@ -143,29 +143,23 @@ def _miwa_replacements(ring: SeriesRing, direction: str, scale):
 
 def hirota_residual(triple: TauTriple, eq_id: str, zeta_order: int):
     """Left minus right side of one bilinear identity, per interior site,
-    truncated to the requested zeta order.
-
-    Returns a dict site -> TruncatedSeries.  The order must be a
-    nonnegative integer (DomainError otherwise).  Orders above
-    min(zeta cap, number of time variables) are not claimable because
-    truncated-away time variables would contribute there; requesting them
-    raises TruncationOrderError.
-    """
-    return _residuals(triple, (eq_id,), zeta_order)[eq_id]
+    truncated to the requested zeta order: the entry eq_id of
+    `hirota_residuals`, a dict site -> TruncatedSeries."""
+    if eq_id not in HIROTA_EQUATION_IDS:
+        raise DomainError(f"unknown equation id {eq_id!r}")
+    return hirota_residuals(triple, zeta_order)[eq_id]
 
 
 def hirota_residuals(triple: TauTriple, zeta_order: int) -> dict:
-    """All six bilinear identities, as a dict equation id -> the dict of
-    `hirota_residual`; the triple is Miwa-shifted once per direction."""
-    return _residuals(triple, HIROTA_EQUATION_IDS, zeta_order)
+    """All six bilinear identities, as a dict equation id -> (interior site
+    -> TruncatedSeries), truncated to the requested zeta order; the triple
+    is Miwa-shifted once per direction.
 
-
-def _residuals(triple: TauTriple, eq_ids, zeta_order) -> dict:
-    """The residuals of the listed identities; each direction's shifted
-    triple is made once, by the first identity that needs it."""
-    for eq_id in eq_ids:
-        if eq_id not in HIROTA_EQUATION_IDS:
-            raise DomainError(f"unknown equation id {eq_id!r}")
+    The order must be a nonnegative integer (DomainError otherwise).  Orders
+    above min(zeta cap, number of time variables) are not claimable because
+    truncated-away time variables would contribute there; requesting them
+    raises TruncationOrderError.
+    """
     try:
         order = operator.index(zeta_order)
     except TypeError:
@@ -179,15 +173,13 @@ def _residuals(triple: TauTriple, eq_ids, zeta_order) -> dict:
             f"zeta order {order} exceeds the claimable cap {claim_cap}")
     sig, rho, tau = triple.sigma, triple.rho, triple.tau
     zeta = ring.variable("zeta")
-    shifted = {}
+    shifted = {direction: tuple({n: miwa_shift(f[n], direction, 1j)
+                                 for n in triple.sites} for f in (sig, rho, tau))
+               for direction in ("z", "zt")}
     out = {}
-    for eq_id in eq_ids:
+    for eq_id in HIROTA_EQUATION_IDS:
         # d, e, f are a, b, c in the zt direction with n - 1 and n + 1 swapped
         direction, step = ("z", 1) if eq_id in ("a", "b", "c") else ("zt", -1)
-        if direction not in shifted:
-            shifted[direction] = tuple(
-                {n: miwa_shift(f[n], direction, 1j) for n in triple.sites}
-                for f in (sig, rho, tau))
         Ssig, Srho, Stau = shifted[direction]
         res_eq = out[eq_id] = {}
         for n in triple.interior:

@@ -9,7 +9,7 @@ import pytest
 
 from conifold_flows import cli
 from conifold_flows.cli import _parse_planewave, build_parser, main
-from conifold_flows.errors import DomainError
+from conifold_flows.errors import DomainError, GradientCatastropheError
 from conifold_flows.reporting import (
     dump_json,
     fmt_complex,
@@ -252,6 +252,70 @@ def test_disp_run_short(capsys, tmp_path):
     assert (tmp_path / "fields.csv.meta.json").exists()
 
 
+def test_disp_run_catastrophe_is_a_failed_check(capsys, monkeypatch):
+    from conifold_flows import disp
+
+    def evolve(*args, **kwargs):
+        raise GradientCatastropheError("gradient growth", time=0.025)
+    monkeypatch.setattr(disp, "evolve_dispersionless", evolve)
+    code, rep = run_json(capsys, ["disp", "run", "--grid", "16", "--T", "0.05"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["results"]["aborted"] is True
+    assert float(rep["results"]["catastrophe_time"]) == 0.025
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule
+
+
+_AL_SHORT = ["al", "run", "--N", "16", "--steps", "10",
+             "--planewave", "A=0.3,B=0.2,mode=1"]
+
+# a cheap run of each subcommand with residuals, one threshold flag, and
+# the residuals that flag holds (the identification residual is 0 at the
+# default --x, so this run takes another)
+_THRESHOLDS = {
+    "gw-check-diff": (["gw", "check-diff"], "--tol", ["difference_equation"]),
+    "gw-scan": (["gw", "scan-asymptotics", "--points", "3"], "--band",
+                ["genus_cap_2", "genus_cap_3"]),
+    "hirota-check": (["hirota", "check"], "--tol", ["first_order_max"]),
+    "al-run-tol": (_AL_SHORT, "--tol", ["max_error_vs_analytic"]),
+    "al-run-drift-tol": (_AL_SHORT, "--drift-tol", ["conserved_drift"]),
+    "disp-check": (["disp", "check", "--grid", "16", "--x", "0.55"], "--tol",
+                   ["density_h", "density_ht", "fppp_identity",
+                    "hamiltonian_form_z", "hamiltonian_form_zt",
+                    "identification_best_sign"]),
+}
+
+
+@pytest.mark.parametrize("argv, flag, keys", _THRESHOLDS.values(),
+                         ids=_THRESHOLDS.keys())
+def test_status_follows_the_residuals_and_their_tolerances(capsys, argv, flag,
+                                                           keys):
+    # a threshold just below a residual fails the run; one equal to it
+    # passes exactly when no other residual the flag holds is larger
+    _, rep = run_json(capsys, argv)
+    residuals = {key: float(rep["residuals"][key]) for key in keys}
+    worst = max(residuals.values())
+    for key, r in residuals.items():
+        assert r > 0, key
+        code, rep = run_json(capsys, argv + [flag, repr(math.nextafter(r, 0))])
+        assert (code, rep["status"]) == (1, "fail"), key
+        code, rep = run_json(capsys, argv + [flag, repr(r)])
+        assert (code, rep["status"]) == ((0, "pass") if r == worst
+                                         else (1, "fail")), key
+
+
+def test_unheld_residuals_and_aborted_runs_fail():
+    def status(residuals, tolerances, results=None):
+        return cli._report("c", {}, results or {}, residuals, tolerances)["status"]
+    assert status({"r_x": 1.0}, {"r": 1.0}) == "pass"
+    assert status({"r": 0.0}, {"s": 1.0}) == "fail"
+    assert status({"rx": 0.0}, {"r": 1.0}) == "fail"
+    assert status({"r": math.nan}, {"r": 1.0}) == "fail"
+    assert status({}, {}, {"aborted": True}) == "fail"
+
+
 # ---------------------------------------------------------------------------
 # plane-wave parameter grammar
 
@@ -273,6 +337,7 @@ def test_planewave_grammar(text, mode):
     "A=0.3,B=0.2,k=7/64",           # malformed
     "A=0.3,B=0.2,q=2pi/64",         # unknown key
     "A=0.3,B=0.2,k=2pi/48",         # incommensurate with 64
+    "A=0.3,B=0.2,k=2pi/0",          # zero denominator
     "junk",
 ])
 def test_planewave_grammar_rejects(text):
@@ -323,6 +388,8 @@ def test_reports_are_byte_identical(tmp_path):
     (["al", "run", "--N", "8", "--planewave", "A=0.3,B=0.2,mode=1",
       "--drift-tol", "0"], "--drift-tol"),
     (["gw", "scan-asymptotics", "--band", "inf"], "--band"),
+    (["al", "run", "--N", "8", "--planewave", "A=0.3,B=0.2,k=2pi/0"],
+     "2pi/0"),
 ], ids=["disp-run-T-inf", "disp-run-dt-nan", "disp-run-length-nan",
         "disp-run-length-0", "disp-run-length-inf", "disp-check-length-0",
         "disp-run-grid-0",
@@ -333,7 +400,7 @@ def test_reports_are_byte_identical(tmp_path):
         "barnes-log-g-quad-tol-0", "barnes-log-sine-quad-tol-nan",
         "gw-check-diff-quad-tol-inf", "disp-check-tol-nan",
         "hirota-check-tol-nan", "disp-check-tol-neg", "gw-check-diff-tol-neg",
-        "al-run-drift-tol-0", "gw-scan-band-inf"])
+        "al-run-drift-tol-0", "gw-scan-band-inf", "al-run-k-over-0"])
 def test_invalid_parameters_exit_2_with_one_error_line(capsys, argv, names):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -344,6 +344,23 @@ def test_overflowing_exponentials_raise_without_a_warning(direction):
 
 
 @pytest.mark.parametrize("direction", ["z", "zt"])
+def test_overflowing_legendre_argument_raises_without_a_warning(direction):
+    # e^{-u} is finite at u = -709.5 but x = 2e^{-u} - 1 is not; the Legendre
+    # terms are formed as they are read, inside their caller's warning scope
+    fields = DispersionlessFields(GridFunction(L, np.full(N, -709.5)),
+                                  GridFunction(L, np.zeros(N)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: flow_rhs(fields, 1, direction),
+                     lambda: flow_generating_series(fields, direction, 2),
+                     lambda: recombined_flow(0.1, fields, direction, 2),
+                     lambda: evolve_dispersionless(fields, 1, direction,
+                                                   T=1e-3, dt=1e-3)):
+            with pytest.raises(DomainError, match="2F - 1\\) overflows"):
+                call()
+
+
+@pytest.mark.parametrize("direction", ["z", "zt"])
 def test_overflowing_power_of_e_names_the_flow_order(direction):
     # E = e^{+/-v} is finite at |v| = 300, but E^3 is not: each route to the
     # third flow raises instead of returning NaN, and numpy never warns
