@@ -29,15 +29,15 @@ mpmath number keeps its digits, and any other number goes through
 ``complex()`` first, so every numeric type that stands for a double gives
 that double's value.
 
-``log_h``, ``log_g`` and the H steps of the G walk share one dispatcher,
-``_kernel``.  It first tries Bridgeland's q-series for the kernels (the
-Gopakumar-Vafa sum in x = e^{2 pi i t/w2} plus its non-perturbative series
-in y = e^{2 pi i (t - w2)/w1}), which converges for non-real w1/w2 when
+``log_h`` and ``log_g`` share one dispatcher, ``_kernel``.  It first tries
+Bridgeland's q-series for the kernels (the Gopakumar-Vafa sum in
+x = e^{2 pi i t/w2} plus its non-perturbative series in
+y = e^{2 pi i (t - w2)/w1}), which converges for non-real w1/w2 when
 |x| < 1 and |y| < 1, and costs milliseconds.  Its value is the branch
 convention: it may differ from the quadrature by a multiple of 2 pi i.
 Real w1/w2, |y| >= 1, and points where the series would lose too many
-digits to cancellation fall back to the split integral and the extension
-walk above.
+digits to cancellation fall back to the split integral at t + k w1 nearest
+mid-strip and the difference equations back to t, summed in closed form.
 
 Every sum of both kernels steps u_k = 1/(1 - e^{kb}) in one of only two
 ratios, b_x = +/-2 pi i w1/w2 for the x-series and b_y = -2 pi i w2/w1
@@ -315,31 +315,16 @@ def _direct_kernel(z, om, quad_tol: float):
     return core.log_sine() - mp.pi * mp.mpc(0, 1) * core.a[len(om)]
 
 
-def _walk(t, w1, w2, offset, direct, step):
-    """A kernel at t from direct(t + k w1 + offset), where t + k w1 + offset
-    lies in the strip 0 < Re < Re(w1 + w2), and the one-step increment
-    step(s) = value(s + w1) - value(s):
-
-        value(t) = value(t + k w1) - sum_{j=0}^{k-1} step(t + j w1)     (k > 0)
-        value(t) = value(t - |k| w1) + sum_{j=1}^{|k|} step(t - j w1)   (k < 0)
-    """
+def _walk(z, w1, w2) -> int:
+    """The k, at most the step cap in size, that puts z + k w1 nearest the
+    middle of the direct strip 0 < Re < Re(w1 + w2), inside it or not."""
     width = mp.re(w1) + mp.re(w2)
-    re_z = mp.re(t + offset)
-    k = 0
-    if not 0 < re_z < width:
-        shift = mp.nint((width / 2 - re_z) / mp.re(w1))
-        if not abs(shift) <= _EXTENSION_STEP_CAP:
-            raise DomainError("difference-equation extension needs more "
-                              f"than {_EXTENSION_STEP_CAP} steps")
-        k = int(shift)
-        if not 0 < re_z + k * mp.re(w1) < width - mp.mpf("1e-12"):
-            raise DomainError("could not place the argument inside the direct strip")
-    corr = mp.mpc(0)
-    for j in range(k):
-        corr -= step(t + j * w1)
-    for j in range(1, -k + 1):
-        corr += step(t - j * w1)
-    return direct(t + k * w1 + offset) + corr
+    k = mp.nint((width / 2 - mp.re(z)) / mp.re(w1))
+    k = max(-_EXTENSION_STEP_CAP, min(k, _EXTENSION_STEP_CAP))
+    if not 0 < mp.re(z) + k * mp.re(w1) < width - mp.mpf("1e-12"):
+        raise DomainError("could not place the argument inside the direct "
+                          f"strip within {_EXTENSION_STEP_CAP} steps")
+    return int(k)
 
 
 def _fixed(z, wp: int):
@@ -538,20 +523,26 @@ def _q_series(t, w1, w2, quad_tol: float, kind: str):
 
 def _kernel(t, w1, w2, quad_tol: float, kind: str):
     """log G (kind "g") or log H ("h") at mpmath t, w1, w2: the q-series
-    where it answers, and otherwise the quadrature inside the direct strip
-    and the extension walk outside it."""
+    where it answers, else the quadrature at b = t + k w1 (k from _walk) and
+    the exact steps back to t in closed form.  With L(s) = log(1 - e^{2 pi i
+    s/w2}), H(s + w1) = H(s) - L(s) and G(s + w1) = G(s) - H(s + w1) give
+    H(t) = H(b) + sign(k) sum_j L(t + j w1) and
+    G(t) = G(b) + k H(b) + sum_j |j| L(t + j w1), j = 0..k-1 or -1..k."""
     value = _q_series(t, w1, w2, quad_tol, kind)
     if value is not None:
         return value
+    k = _walk(t + w1 if kind == "g" else t, w1, w2)
+    b = t + k * w1
     if kind == "h":
-        # H(t + w1) = H(t) * (1 - exp(2 pi i t / w2))^{-1}
-        return _walk(t, w1, w2, 0,
-                     lambda z: _direct_kernel(z, (w1, w2), quad_tol),
-                     lambda s: -_log1mexp(2 * mp.pi * mp.mpc(0, 1) * s / w2))
-    # G(t + w1) = G(t) / H(t + w1 | w1, w2)
-    return _walk(t, w1, w2, w1,
-                 lambda z: _direct_kernel(z, (w1, w1, w2), quad_tol),
-                 lambda s: -_kernel(s + w1, w1, w2, quad_tol, "h"))
+        value = _direct_kernel(b, (w1, w2), quad_tol)
+    else:
+        value = _direct_kernel(b + w1, (w1, w1, w2), quad_tol) + (
+            k * _kernel(b, w1, w2, quad_tol, "h") if k else 0)
+    sign, corr = (1 if k > 0 else -1), mp.mpc(0)
+    for j in range(k) if k > 0 else range(-1, k - 1, -1):
+        log = _log1mexp(2 * mp.pi * mp.mpc(0, 1) * (t + j * w1) / w2)
+        corr += (abs(j) if kind == "g" else sign) * log
+    return value + corr
 
 
 def log_h(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL) -> complex:
@@ -584,7 +575,8 @@ def log_g_highprec(t, omega1, omega2, quad_tol: float = DEFAULT_QUAD_TOL):
     remainders, second differences) and float64 rounding of the individual
     values would drown the signal.  mpmath arguments keep their digits.
     The value comes from the q-series where it converges and holds
-    quad_tol, and otherwise from the quadrature and the extension walk.
+    quad_tol, and otherwise from one rank-3 quadrature near mid-strip, the
+    H kernel there and one logarithm per step of the difference equation.
     """
     with working_precision(quad_tol):
         w1, w2 = _periods((omega1, omega2))

@@ -383,6 +383,9 @@ def _series_order(zeta0: complex, e, f) -> int:
     # has modulus 1/(|E| max|x +/- root|)
     far = np.maximum(np.abs(x - root), np.abs(x + root))
     rho = abs(zeta0) * float(np.max(np.abs(e) * far))
+    if not math.isfinite(rho):  # x^2 or rho overflowed, making inf or NaN
+        raise DomainError("x = 2 exp(-u) - 1 or the series ratio overflows "
+                          "on the grid")
     if rho < 1:
         for order in range(1, _MAX_SERIES_ORDER + 1):
             if rho ** order <= _SERIES_TOL * (1.0 - rho):
@@ -483,7 +486,7 @@ def check_hamiltonian_form(zeta0: complex, fields: DispersionlessFields,
     v = fields.v.total_values()
     length = fields.u.length
     # first, so that a zeta out of the series' reach is rejected up front
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         order = _series_order(zeta0, *_exponentials(u, v, sign))
     du_rec, dv_rec = recombined_flow(zeta0, fields, direction, order)
 
@@ -712,11 +715,15 @@ def evolve_dispersionless(fields: DispersionlessFields, j: int,
     gradient0 = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
     limit = _CATASTROPHE_FACTOR * max(gradient0, 1e-300)
     t = 0.0
-    # an overflow is rejected by the guards of the next stage or step, so
-    # numpy need not warn of it
+    # numpy need not warn of an overflow: the guards of the next stage or
+    # step reject it, at the initial fields as input, later as a blow-up
     with np.errstate(over="ignore"):
+        rhs(state)
         for _ in range(steps):
-            state = rk4(rhs, state, dt)
+            try:
+                state = rk4(rhs, state, dt)
+            except DomainError as exc:
+                raise GradientCatastropheError(str(exc), time=t) from exc
             t += dt
             gnow = float(np.max(np.abs(spectral_derivative(state[0], length) + su)))
             if not math.isfinite(gnow) or gnow > limit:

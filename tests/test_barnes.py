@@ -251,11 +251,60 @@ def _oracle(kernel, t, w1, w2):
 def test_kernels_at_real_coupling_match_the_oracle(kernel):
     # a real coupling has no q-series: inside the strip the kernel is the
     # quadrature's multiple sine less pi i a_r, and the oracle adds the
-    # Bernoulli prefactor from gen_bernoulli instead
-    for t, lam in [(0.3 + 0.4j, 0.2), (0.62 + 0.25j, 0.07)]:
+    # Bernoulli prefactor from gen_bernoulli instead; at lam = 1e-4 mid-strip
+    # is thousands of steps away, and a point inside the strip moves at most
+    # the step cap toward it instead of raising
+    for t, lam in [(0.3 + 0.4j, 0.2), (0.62 + 0.25j, 0.07),
+                   (0.3 + 0.4j, 1e-4), (0.02 + 0.4j, 1e-4)]:
         got = (log_g if kernel == "g" else log_h)(t, lam, 1.0)
         want = _oracle(kernel, t, lam, 1.0)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (t, lam)
+
+
+@pytest.mark.parametrize("kernel, t, w1", [
+    ("g", 1.4 + 0.3j, 0.2 + 0.2j), ("h", 0.001 + 0.4j, 0.2),
+    ("h", 1.199 + 0.4j, 0.2), ("h", 1.2 + 0.1j, 0.2 + 0.2j),
+    ("g", 1.2 + 0.1j, 0.2 + 0.2j)])
+def test_points_near_a_strip_edge_answer(kernel, t, w1):
+    # the quadrature runs at the point nearest mid-strip, so a point near
+    # an edge of the strip, inside or outside it, answers, and its step of
+    # the difference equation holds
+    if kernel == "h":
+        step = log_h(t + w1, w1, 1.0) - log_h(t, w1, 1.0) - _h_rhs(t, 1.0)
+    else:
+        step = (log_g(t + w1, w1, 1.0) - log_g(t, w1, 1.0)
+                + log_h(t + w1, w1, 1.0))
+    assert abs(_fold(step)) <= 1e-12
+
+
+def test_extension_sums_its_steps_in_closed_form(monkeypatch):
+    # a cold log G two hundred steps out takes one rank-3 quadrature, one
+    # H kernel at the same mid-strip point and one logarithm per step
+    calls = dict.fromkeys(("_kernel", "_log1mexp", "_SplitIntegral"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(barnes, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(barnes, name, counted)
+    barnes._direct_kernel.cache_clear()
+    log_g(40.3 + 0.4j, 0.2, 1.0)
+    assert calls["_kernel"] <= 2 and calls["_SplitIntegral"] <= 2, calls
+    assert calls["_log1mexp"] <= 201, calls
+
+
+@pytest.mark.parametrize("t, g_repr, h_repr", [
+    (3.3 + 0.4j, "(-0.018738353792102064+0.05521194435334134j)",
+     "(0.06647335977012073-0.019826394069289696j)"),
+    (10.3 + 0.4j, "(-0.017969396143366793+0.055264652252229936j)",
+     "(0.06644894841619271-0.019826394069289318j)"),
+    (-2.7 + 0.4j, "(-0.018717429774449394+0.055166766154293896j)",
+     "(0.06649428378777339-0.019826394069289696j)"),
+])
+def test_extended_doubles_are_pinned(t, g_repr, h_repr):
+    # real lambda, 15 to 50 steps of the difference equations from the
+    # strip on either side: summing them in closed form keeps these doubles
+    assert repr(log_g(t, 0.2, 1.0)) == g_repr
+    assert repr(log_h(t, 0.2, 1.0)) == h_repr
 
 
 def _series_points():

@@ -264,6 +264,18 @@ def test_disp_run_catastrophe_is_a_failed_check(capsys, monkeypatch):
     assert float(rep["results"]["catastrophe_time"]) == 0.025
 
 
+def test_disp_run_overflow_past_the_initial_fields_is_a_failed_check(capsys):
+    # the hundredth flow of the default fields is finite at t = 0 and
+    # overflows in a stage of the first step: the same blow-up that flow 40
+    # meets at t = 0.005, so the same exit code, not that of an invalid input
+    for argv, when in ((["--flow", "100", "--T", "0.01", "--dt", "1e-3"], 0.0),
+                       (["--flow", "40", "--T", "0.1"], 0.005)):
+        code, rep = run_json(capsys, ["disp", "run", *argv])
+        assert code == 1 and rep["status"] == "fail", argv
+        assert rep["results"]["aborted"] is True
+        assert float(rep["results"]["catastrophe_time"]) == when
+
+
 # ---------------------------------------------------------------------------
 # the verdict rule
 

@@ -360,6 +360,20 @@ def test_overflowing_legendre_argument_raises_without_a_warning(direction):
                 call()
 
 
+def test_hamiltonian_form_rejects_an_overflowing_series_ratio():
+    # e^{-u} is finite at u = -709.5, but x = 2e^{-u} - 1 squared is not:
+    # the series order is rejected as an overflow, without numpy warnings,
+    # instead of placing zeta at NaN of the distance to the branch point
+    x = np.arange(16) * (L / 16)
+    fields = DispersionlessFields(
+        GridFunction(L, -709.5 + 0.01 * np.cos(math.pi * x)),
+        GridFunction(L, 0.05 * np.sin(math.pi * x)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            check_hamiltonian_form(0.1, fields)
+
+
 @pytest.mark.parametrize("direction", ["z", "zt"])
 def test_overflowing_power_of_e_names_the_flow_order(direction):
     # E = e^{+/-v} is finite at |v| = 300, but E^3 is not: each route to the
@@ -701,6 +715,20 @@ def test_gradient_catastrophe_detection():
     with pytest.raises(GradientCatastropheError) as err:
         evolve_dispersionless(steep, 1, "z", T=5.0, dt=1e-3)
     assert err.value.time > 0
+
+
+def test_a_guard_past_the_initial_fields_is_a_catastrophe():
+    # the fortieth flow of these fields is finite at t = 0, but a stage of
+    # the first step overflows: a blow-up of the run at the time reached,
+    # not an invalid input, which the initial fields alone decide
+    fields = _fields()
+    flow_rhs(fields, 40, "z")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GradientCatastropheError) as err:
+            evolve_dispersionless(fields, 40, "z", T=0.01, dt=1e-3)
+    assert err.value.time == 0.0
+    assert isinstance(err.value.__cause__, DomainError)
 
 
 def test_potential_co_evolution_keeps_u_consistent():
