@@ -18,9 +18,9 @@ first/second difference equations extend them outside.
 All heavy arithmetic runs at a working precision derived from the
 requested quadrature tolerance, so that the severe cancellation between
 the series terms and the integral stays far below the returned accuracy:
-in mpmath, except for the loop of the q-series below, which steps its
-terms on Python integers in fixed point at the same bits, as mpmath's own
-series do, and converts the sum back once.  ``working_precision(quad_tol)``
+in mpmath, except for the q-series below, which runs from its mpmath
+argument to its one returned value on Python integers in fixed point at
+the same bits, as mpmath's own series do.  ``working_precision(quad_tol)``
 alone maps a tolerance to those digits and holds the lock that serializes
 precision changes; every entry point here, and every mpmath computation in
 :mod:`gw`, runs under it.  Every argument of every entry point (t, s, z and
@@ -43,11 +43,11 @@ Every sum of both kernels steps u_k = 1/(1 - e^{kb}) in one of only two
 ratios, b_x = +/-2 pi i w1/w2 for the x-series and b_y = -2 pi i w2/w1
 (conjugated for Im(w1/w2) < 0) for the y-series.  So the data that depends
 on the coupling alone is computed once per pair of periods and working
-precision, in a small cache keyed on the exact mpmath values: 2 pi i,
-b_x, lam_y = w1/w2 (or its conjugate), 1/lam_y and 1/(2 pi i), formed by
-the operations a sum would use, and for each b a table of e^b and the u_k
-in fixed point, grown only as far as some sum has reached.  The values are
-bitwise those of forming everything per call.
+precision, in a small cache keyed on the exact mpmath values: 1/w2, 2 pi i,
+b_x, and with lam_y = w1/w2 (or its conjugate) 2 pi i/lam_y, 1/lam_y and
+1/(2 pi i), each in fixed point, and for each b a table of e^b and the u_k,
+grown only as far as some sum has reached.  The values are bitwise those
+of forming everything per call.
 """
 from __future__ import annotations
 
@@ -58,7 +58,8 @@ import threading
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .errors import DomainError, PoleError
 from .specfun import as_mp, bernoulli_egf, is_mp
@@ -328,12 +329,14 @@ def _walk(z, w1, w2) -> int:
 
 
 def _fixed(z, wp: int):
-    """An integer or mpmath number as the (re, im) pair of integers scaled
-    by 2^wp."""
-    if isinstance(z, int):
-        return z << wp, 0
-    re, im = (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
-    return to_fixed(re, wp), to_fixed(im, wp)
+    """An mpmath complex as the (re, im) pair of integers scaled by 2^wp."""
+    return tuple(to_fixed(part, wp) for part in z._mpc_)
+
+
+def _mul(a, b, wp: int):
+    """The product of two (re, im) pairs scaled by 2^wp."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> wp, (ar * bi + ai * br) >> wp
 
 
 class _QTable:
@@ -373,19 +376,23 @@ class _QTable:
 
 class _Coupling:
     """What Bridgeland's sums at one non-real coupling lam = w1/w2 share at
-    the working bits, whatever t: whether Im lam > 0 (up), 2 pi i, the
-    x-series ratio b_x = 2 pi i lam (-2 pi i lam for Im lam < 0), the
-    y-series coupling lam_y (lam, or conj lam for Im lam < 0), 1/lam_y,
-    1/(2 pi i), and the _QTable of b_x and of b_y = -2 pi i/lam_y.  Each is
-    formed by the same mpmath operations as a sum would form it."""
+    the working bits, whatever t: whether Im lam > 0 (up), and formed in
+    mpmath, then held in fixed point, 1/w2, 2 pi i, the x-series ratio
+    b_x = 2 pi i lam (-2 pi i lam for Im lam < 0), and with the y-series
+    coupling lam_y (lam, or conj lam for Im lam < 0) 2 pi i/lam_y, 1/lam_y
+    and 1/(2 pi i); then the _QTable of b_x and of b_y = -2 pi i/lam_y."""
 
-    def __init__(self, lam):
+    def __init__(self, lam, w2):
+        wp = mp.mp.prec
         self.up = up = mp.im(lam) > 0
-        self.two_pi_i = two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        self.b_x = two_pi_i * lam if up else -two_pi_i * lam
-        self.lam_y = lam_y = lam if up else mp.conj(lam)
-        self.inv_lam_y, self.inv_two_pi_i = 1 / lam_y, 1 / two_pi_i
-        self.x_table = _QTable(self.b_x)
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        b_x = two_pi_i * lam if up else -two_pi_i * lam
+        lam_y = lam if up else mp.conj(lam)
+        (self.inv_w2, self.two_pi_i, self.b_x, self.two_pi_i_lam_y,
+         self.inv_lam_y, self.inv_two_pi_i) = (
+            _fixed(c, wp) for c in (1 / w2, two_pi_i, b_x, two_pi_i / lam_y,
+                                    1 / lam_y, 1 / two_pi_i))
+        self.x_table = _QTable(b_x)
         self.y_table = _QTable(-two_pi_i / lam_y)
 
 
@@ -396,13 +403,12 @@ def _coupling(w1, w2, prec: int):
     exact values, so a period with digits beyond a double is not taken for
     that double.  Its tables grow under _PREC_LOCK, which every caller
     holds."""
-    lam = mp.make_mpc(w1) / mp.make_mpc(w2)
-    if mp.im(lam) == 0:
-        return None
-    return _Coupling(lam)
+    with mp.workprec(prec):
+        lam = mp.make_mpc(w1) / mp.make_mpc(w2)
+        return _Coupling(lam, mp.make_mpc(w2)) if mp.im(lam) else None
 
 
-def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
+def _q_sum(a, table: _QTable, c0=(0, 0), c1=(0, 0), c2=(0, 0)):
     """sum_{k>=1} e^{ka} u_k f_k / k with u_k = 1/(1 - e^{kb}) from the
     table of b and the linear form f_k = c0 + c1 u_k + c2/k, whose modulus
     is at most F_k = |c0| + |c1| U_k + |c2|/k, given U_k >= |u_k|.
@@ -413,22 +419,26 @@ def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
     _Q_TERM_CAP terms.  The terms are bounded by |e^a|^k U_k F_k / k, which
     shrinks at least by |e^a| a step.
 
-    The loop runs in the fixed point of mpmath's own series: a complex
-    number is a pair of Python integers scaled by 2^wp, wp the working bits.
-    The tail bound and size are estimates and stay in floats.  A coefficient,
-    u_k or u_k f_k whose scaled integer overflows a float (beyond about
-    2^(1024 - wp); at wp above 1024 bits, every u_k) would be charged far
-    past any tolerance, so the sum declines instead.
+    It runs in the fixed point of mpmath's own series: a complex number, a,
+    the c and the sum too, is a pair of Python integers scaled by 2^wp, wp
+    the working bits, and e^a comes from mpmath's fixed-point exp and
+    cos/sin.  The tail bound and size are estimates and stay in floats.  A
+    coefficient, u_k or u_k f_k whose scaled integer overflows a float
+    (beyond about 2^(1024 - wp); at wp above 1024 bits, every u_k) would be
+    charged far past any tolerance, so the sum declines instead.
     """
-    wp = table.wp
-    re_a = float(mp.re(a))
+    wp, (ar, ai) = table.wp, a
+    one, unit, eps = 1 << wp, 2.0 ** -wp, 2.0 ** (1 - wp)
+    re_a = ar / one
     if not (re_a < 0 and table.re_b < 0):
         return None
-    one, unit, eps = 1 << wp, 2.0 ** -wp, float(mp.eps)
-    ar, ai = _fixed(mp.exp(a), wp)
-    if not (ar * ar + ai * ai < one * one and table.inside):
+    # their reductions by ln 2 and pi/2 lose the bits of |a|: given here
+    g = (max(-ar, abs(ai)) >> wp).bit_length()
+    mod, (cos, sin) = exp_fixed(ar << g, wp + g), cos_sin_fixed(ai << g, wp + g)
+    er, ei = (mod * cos) >> (wp + 2 * g), (mod * sin) >> (wp + 2 * g)
+    if not (er * er + ei * ei < one * one and table.inside):
         return None  # |e^a| or |e^b| rounds to 1 at the working bits
-    (c0r, c0i), (c1r, c1i), (c2r, c2i) = (_fixed(c, wp) for c in (c0, c1, c2))
+    (c0r, c0i), (c1r, c1i), (c2r, c2i) = c0, c1, c2
     rho = math.exp(re_a)
     tail = rho / -math.expm1(re_a)
     # rounding in e^{ka} grows like k |a|; in 1 - e^{kb}, like k |b| |u_k|.
@@ -436,7 +446,7 @@ def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
     # however small it gets, which costs the term k |g_k| such units
     # (g_k = u_k f_k / k); size counts in working digits, and one unit of
     # 2^-wp is _Q_GUARD_DIGITS below them
-    scale_a, scale_b = 1 + abs(complex(a)), table.scale_b
+    scale_a, scale_b = 1 + math.hypot(re_a, ai / one), table.scale_b
     fixed_unit = 10.0 ** -_Q_GUARD_DIGITS
     rows = table.rows
     tr = ti = 0
@@ -452,7 +462,7 @@ def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
             if row is None:
                 return None  # u_k overflows a float, see above
             ur, ui, u_abs, U = row
-            pr, pi_ = (pr * ar - pi_ * ai) >> wp, (pr * ai + pi_ * ar) >> wp
+            pr, pi_ = (pr * er - pi_ * ei) >> wp, (pr * ei + pi_ * er) >> wp
             fr = c0r + ((c1r * ur - c1i * ui) >> wp) + c2r // k
             fi = c0i + ((c1r * ui + c1i * ur) >> wp) + c2i // k
             # g_k = u_k f_k / k, and the term is e^{ka} g_k
@@ -464,7 +474,7 @@ def _q_sum(a, table: _QTable, c0=0, c1=0, c2=0):
             size += k * math.hypot(gr, gi) * unit * (
                 mag * (scale_a + scale_b * u_abs) + fixed_unit)
             if mag * tail * U * (f0 + f1 * U + f2 / k) / k <= eps:
-                return mp.mpc(mp.mpf((tr, -wp)), mp.mpf((ti, -wp))), size
+                return (tr, ti), size
     except OverflowError:
         pass  # a magnitude past the float range: declined, see above
     return None
@@ -483,40 +493,45 @@ def _q_series(t, w1, w2, quad_tol: float, kind: str):
     with D, D_H the y-series for Im lam > 0, in y = e^{2 pi i (tau - 1)/lam}
     and q~ = e^{b_y} = e^{-2 pi i/lam}; for Im lam < 0 they are
     conj(D(1 - conj tau, conj lam)) and -conj(D_H(1 - conj tau, conj lam)).
-    The sums run at _Q_GUARD_DIGITS above the working digits, with the data
-    that depends on the coupling alone taken from _coupling.  Near real lam
-    both grow large and cancel, so the value is returned only if the
-    rounding of both sums together, charged at the working digits, stays
-    within quad_tol * max(1, |value|).  Real lam, |x p| >= 1 (|x| >= 1 for
-    H with Im lam > 0), |y| >= 1 and a sum past the term cap also return None.
+    From t to the value, all runs in the fixed point of _q_sum at
+    _Q_GUARD_DIGITS above the working digits, with the data that depends on
+    the coupling alone taken from _coupling, and is rounded once to the
+    working bits.  Near real lam both sums grow large and cancel, so the
+    value is returned only if the rounding of both sums together, charged
+    at the working digits, stays within quad_tol * max(1, |value|).  Real
+    lam, |x p| >= 1 (|x| >= 1 for H with Im lam > 0), |y| >= 1 and a sum
+    past the term cap also return None.
     """
     dps = _dps_for(quad_tol)
-    with mp.workdps(dps + _Q_GUARD_DIGITS):
-        c = _coupling(w1._mpc_, w2._mpc_, mp.mp.prec)
-        if c is None:
-            return None
-        tau = t / w2
-        tau_y = tau if c.up else 1 - mp.conj(tau)
-        a_y = c.two_pi_i * (tau_y - 1) / c.lam_y
-        if kind == "h":
-            # x^k / (1 - q^k) = -(x p)^k / (1 - p^k) when p = 1/q
-            x_sum = _q_sum(c.two_pi_i * tau + (0 if c.up else c.b_x),
-                           c.x_table, c0=-1 if c.up else 1)
-            y_sum = _q_sum(a_y, c.y_table, c0=1)
-        else:
-            x_sum = _q_sum(c.two_pi_i * tau + c.b_x, c.x_table, c1=-1)
-            y_sum = _q_sum(a_y, c.y_table, c0=-tau_y / c.lam_y,
-                           c1=c.inv_lam_y, c2=c.inv_two_pi_i)
-        if x_sum is None or y_sum is None:
-            return None
-        y_value = y_sum[0]
-        if not c.up:
-            y_value = mp.conj(y_value) if kind == "g" else -mp.conj(y_value)
-        total = x_sum[0] + y_value
-        size = x_sum[1] + y_sum[1]
-    value = +total
-    rounding = 10 * size * mp.mpf(10) ** -dps
-    if rounding > quad_tol * max(1, abs(value)):
+    wp = dps_to_prec(dps + _Q_GUARD_DIGITS)
+    c = _coupling(w1._mpc_, w2._mpc_, wp)
+    if c is None:
+        return None
+    one = 1 << wp
+    tau = _mul(_fixed(t, wp), c.inv_w2, wp)
+    tau_y = tau if c.up else (one - tau[0], tau[1])
+    a_x = _mul(tau, c.two_pi_i, wp)
+    if kind == "g" or not c.up:
+        a_x = a_x[0] + c.b_x[0], a_x[1] + c.b_x[1]
+    a_y = _mul((tau_y[0] - one, tau_y[1]), c.two_pi_i_lam_y, wp)
+    if kind == "h":
+        # x^k / (1 - q^k) = -(x p)^k / (1 - p^k) when p = 1/q
+        x_sum = _q_sum(a_x, c.x_table, c0=(-one if c.up else one, 0))
+        y_sum = _q_sum(a_y, c.y_table, c0=(one, 0))
+    else:
+        x_sum = _q_sum(a_x, c.x_table, c1=(-one, 0))
+        c0r, c0i = _mul(tau_y, c.inv_lam_y, wp)
+        y_sum = _q_sum(a_y, c.y_table, c0=(-c0r, -c0i), c1=c.inv_lam_y,
+                       c2=c.inv_two_pi_i)
+    if x_sum is None or y_sum is None:
+        return None
+    ((xr, xi), x_size), ((yr, yi), y_size) = x_sum, y_sum
+    if not c.up:
+        yr, yi = (yr, -yi) if kind == "g" else (-yr, yi)
+    value = mp.make_mpc(tuple(from_man_exp(part, -wp, mp.mp.prec, round_nearest)
+                              for part in (xr + yr, xi + yi)))
+    rounding = 10 * (x_size + y_size) * 10.0 ** -dps
+    if rounding > quad_tol * max(1, abs(complex(value))):
         return None
     return value
 

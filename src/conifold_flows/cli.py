@@ -318,7 +318,8 @@ def _cmd_disp_run(args) -> dict:
                                          args.T, dt=args.dt)
     except GradientCatastropheError as exc:
         return _report("disp run", params,
-                       {"aborted": True, "catastrophe_time": exc.time})
+                       {"aborted": True, "catastrophe_time": exc.time,
+                        "reason": str(exc)})
     if args.csv:
         disp.export_fields(out, args.csv, args.csv + ".meta.json",
                            {"T": args.T, "dt": args.dt})

@@ -140,13 +140,19 @@ def al_rhs(state: LatticeState):
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y) on an array state y, whose
-    rows may be several fields."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of dy/dt = f(y) on an array y, bitwise y +
+    (dt/6) (k1 + 2 k2 + 2 k3 + k4) formed in two arrays of its own.  f must
+    return a new array; neither it nor y is written to."""
+    k1, stage = f(y), np.empty_like(y)
+    k2 = f(np.add(np.multiply(k1, 0.5 * dt, out=stage), y, out=stage))
+    k3 = f(np.add(np.multiply(k2, 0.5 * dt, out=stage), y, out=stage))
+    k4 = f(np.add(np.multiply(k3, dt, out=stage), y, out=stage))
+    acc = 2.0 * k2
+    acc += k1
+    acc += np.multiply(k3, 2.0, out=stage)
+    acc += k4
+    acc *= dt / 6.0
+    return np.add(acc, y, out=acc)
 
 
 def rk4_step(state: LatticeState, dt: float) -> LatticeState:

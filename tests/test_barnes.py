@@ -407,9 +407,12 @@ def _bridgeland_series(kernel, t, w1, w2):
 
 
 def _fixed_point_points():
-    """30 draws: the kernel_direct domain with both signs of Im lam, some
+    """42 draws: the kernel_direct domain with both signs of Im lam, some
     with complex w2, then |lam| = 1e-4; quad_tol cycles over 1e-8, 1e-12
-    and 1e-25."""
+    and 1e-25.  Then 20 <= |Re tau| <= 40, where |y| < 1 needs Im lam of
+    the sign opposite to Re tau, and the kernel_direct domain again, with
+    quad_tol cycling over 1e-12, 1e-60 and 1e-100: above 400 bits mpmath's
+    fixed-point cos/sin leaves its cached table for a plain series."""
     rng = np.random.default_rng(2026)
     tols = (1e-8, 1e-12, 1e-25)
     pts = []
@@ -421,14 +424,29 @@ def _fixed_point_points():
         pts.append((tau * w2, lam * w2, w2, tols[i % 3]))
     for i, arg in enumerate((math.pi / 4, -math.pi / 4, 1.2, -0.3)):
         pts.append((0.3 + 0.4j, 1e-4 * cmath.exp(1j * arg), 1.0, tols[i % 3]))
+    tols = (1e-12, 1e-60, 1e-100)
+    for i in range(12):
+        sign = (-1) ** i
+        if i < 8:
+            tau = complex(sign * rng.uniform(20, 40), rng.uniform(0.3, 1.2))
+            lam = rng.uniform(0.05, 0.9) * cmath.exp(-1j * sign * rng.uniform(0.2, 1.4))
+        else:
+            tau = complex(rng.uniform(0.2, 0.65), rng.uniform(0.21, 0.99))
+            lam = rng.uniform(0.05, 0.3) * cmath.exp(1j * sign * rng.uniform(0.05, 1.4))
+        w2 = 1.0 if i % 2 else complex(rng.uniform(0.8, 1.3), rng.uniform(-0.2, 0.2))
+        pts.append((tau * w2, lam * w2, w2, tols[i % 3]))
     return pts
 
 
-def test_q_series_matches_a_plain_mpmath_sum():
+def test_q_series_matches_a_plain_mpmath_sum(monkeypatch):
     # the kernels sum Bridgeland's series in integer fixed point; here the
     # same series run as plain mpmath loops 20 digits above the working
     # ones.  log_g_highprec keeps the working digits, less two for the
     # rounding of the sums; log_h and log_g are the nearest doubles
+    def no_walk(*args):
+        raise AssertionError("the q-series declined")
+
+    monkeypatch.setattr(barnes, "_walk", no_walk)
     for t, w1, w2, quad_tol in _fixed_point_points():
         with working_precision(quad_tol) as dps:
             pass

@@ -262,18 +262,23 @@ def test_disp_run_catastrophe_is_a_failed_check(capsys, monkeypatch):
     assert code == 1 and rep["status"] == "fail"
     assert rep["results"]["aborted"] is True
     assert float(rep["results"]["catastrophe_time"]) == 0.025
+    assert rep["results"]["reason"] == "gradient growth"
 
 
 def test_disp_run_overflow_past_the_initial_fields_is_a_failed_check(capsys):
     # the hundredth flow of the default fields is finite at t = 0 and
     # overflows in a stage of the first step: the same blow-up that flow 40
     # meets at t = 0.005, so the same exit code, not that of an invalid input
+    reasons = []
     for argv, when in ((["--flow", "100", "--T", "0.01", "--dt", "1e-3"], 0.0),
                        (["--flow", "40", "--T", "0.1"], 0.005)):
         code, rep = run_json(capsys, ["disp", "run", *argv])
         assert code == 1 and rep["status"] == "fail", argv
         assert rep["results"]["aborted"] is True
         assert float(rep["results"]["catastrophe_time"]) == when
+        reasons.append(rep["results"]["reason"])
+    # the report says which guard stopped the run, as al run's does
+    assert "overflow" in reasons[0] and "gradient growth" in reasons[1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +498,21 @@ def test_malformed_numbers_exit_2_with_one_error_line(capsys, base, option,
 def test_polylog_past_the_double_range_exits_2(capsys, order):
     _exits_2_with_one_error_line(
         capsys, ["specfun", "eval", "--polylog", order, "0.5"])
+
+
+def test_bernoulli_past_its_maximum_exits_2(capsys):
+    # the maximum still prints: past B_2062 a numerator has more digits
+    # than CPython converts to a string by default
+    code, rep = run_json(capsys, ["specfun", "eval", "--bernoulli", "2000"])
+    # von Staudt-Clausen: the denominator is the product of the primes p
+    # with p - 1 dividing 2000
+    den = math.prod(p for p in range(2, 2002) if 2000 % (p - 1) == 0
+                    and all(p % d for d in range(2, math.isqrt(p) + 1)))
+    assert code == 0 and rep["results"]["value"].endswith(f"/{den}")
+    _exits_2_with_one_error_line(
+        capsys, ["specfun", "eval", "--bernoulli", "2001"])
+    _exits_2_with_one_error_line(
+        capsys, ["specfun", "eval", "--bernoulli", "5000"])
 
 
 def test_bad_flag_and_missing_command_exit_2(capsys):

@@ -17,12 +17,40 @@ from conifold_flows.lattice import (
     gauge_transform,
     integrate,
     plane_wave_frequency,
+    rk4,
     rk4_step,
 )
 
 
 def _pw(n=16, mode=2, amp_a=0.3, amp_b=0.2):
     return PlaneWaveParams(sites=n, mode=mode, amp_a=amp_a, amp_b=amp_b)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 step
+
+
+def test_rk4_is_the_textbook_step_and_writes_only_its_own_arrays():
+    rng = np.random.default_rng(16)
+    y = 0.3 * (rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
+    y_bytes, dt = y.tobytes(), 0.01
+    returned = []
+
+    def f(state):
+        out = al_rhs(LatticeState(state[0].copy(), state[1].copy()))
+        returned.append((out, out.tobytes()))
+        return out
+
+    got = rk4(f, y, dt)
+    assert y.tobytes() == y_bytes
+    assert len(returned) == 4
+    assert all(out.tobytes() == b for out, b in returned)
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    want = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Oracles here are independent of the package internals: a Fraction-arithmetic
 series inversion for Bernoulli numbers, sympy's symbolic series for the
 generalized Bernoulli polynomials, and mpmath.polylog for the polylogarithms.
 """
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 import sympy
 
-from conifold_flows import DomainError, PoleError
+from conifold_flows import DomainError, PoleError, specfun
 from conifold_flows.specfun import (
     bernoulli_number,
     gen_bernoulli,
@@ -69,6 +70,28 @@ def test_bernoulli_against_sympy():
 def test_bernoulli_negative_index_rejected():
     with pytest.raises(DomainError):
         bernoulli_number(-1)
+
+
+def recurrence_bernoulli(kmax):
+    """B_k from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1), in Fractions: the
+    O(k^2) recurrence the package used before the tangent numbers."""
+    out = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, kmax + 1):
+        acc = sum(math.comb(m + 1, j) * out[j] for j in range(m))
+        out.append(-acc / (m + 1))
+    return out
+
+
+def test_bernoulli_matches_the_recurrence_to_200():
+    oracle = recurrence_bernoulli(200)
+    assert [bernoulli_number(k) for k in range(201)] == oracle
+
+
+def test_bernoulli_index_is_capped():
+    # past the documented maximum, a DomainError instead of an unbounded run
+    for k in (specfun._BERNOULLI_MAX + 1, 10 ** 6):
+        with pytest.raises(DomainError, match="Bernoulli index"):
+            bernoulli_number(k)
 
 
 def _sympy_gen_bernoulli(r, n, z, omega):
